@@ -1,10 +1,9 @@
 // Ablation B: the kernel-compiled map fast path ("scalars in registers", the
 // CPU analogue of the paper's claim that the redundant-execution tape keeps
-// scalars out of global memory), plus the process-wide kernel cache. GMM
-// objective and gradient with the kernel compiler enabled vs the
-// environment-walking interpreter, and a repeated-map workload (an iterative
-// solver shape: the same small map launched hundreds of times) with the
-// kernel cache enabled vs recompiling per launch.
+// scalars out of global memory). GMM objective and gradient with the kernel
+// compiler enabled vs the environment-walking interpreter, plus a
+// repeated-map workload (an iterative solver shape: the same small map
+// launched hundreds of times, each launch a process-wide kernel-cache hit).
 
 #include "common.hpp"
 
@@ -23,9 +22,9 @@ namespace {
 
 // loop k times: xs = map (\x -> long unrolled arithmetic chain) xs over a
 // small array; return sum xs. Execution per launch is tiny while the lambda
-// body is large, so per-launch kernel compilation dominates when the cache is
-// off — the shape every iterative driver (k-means Newton, GMM fit, LSTM
-// training) hammers: the same lambda relaunched every optimizer step.
+// body is large, so any per-launch kernel work would dominate — the shape
+// every iterative solver (k-means Newton, GMM fit, LSTM training) hammers:
+// the same lambda relaunched every optimizer step.
 Prog repeated_map_prog(int64_t iters, int unroll) {
   ProgBuilder pb("repeated_map");
   Var xs0 = pb.param("xs", arr_f64(1));
@@ -68,8 +67,6 @@ int main(int argc, char** argv) {
 
   rt::Interp fast({.parallel = true, .use_kernels = true, .grain = 2048});
   rt::Interp slow({.parallel = true, .use_kernels = false, .grain = 2048});
-  rt::Interp nocache(
-      {.parallel = true, .use_kernels = true, .use_kernel_cache = false, .grain = 2048});
   rt::Interp scalar_lanes(
       {.parallel = true, .use_kernels = true, .kernel_lanes = 1, .grain = 2048});
   rt::Interp novexec({.parallel = true, .use_kernels = true, .grain = 2048, .use_vexec = false});
@@ -84,7 +81,6 @@ int main(int argc, char** argv) {
   reg("grad/kernels", [&] { benchmark::DoNotOptimize(fast.run(grad_p, gargs)); });
   reg("grad/interp", [&] { benchmark::DoNotOptimize(slow.run(grad_p, gargs)); });
   reg("repeat/cache", [&] { benchmark::DoNotOptimize(fast.run(rep_p, rep_args)); });
-  reg("repeat/nocache", [&] { benchmark::DoNotOptimize(nocache.run(rep_p, rep_args)); });
   // Lane-width ablation: the same kernels at W=1 (scalar machine) vs the
   // default batched width.
   reg("obj/kernels-w1", [&] { benchmark::DoNotOptimize(scalar_lanes.run(obj_p, args)); });
@@ -103,9 +99,6 @@ int main(int argc, char** argv) {
   t.add_row({"GMM gradient (vjp, kernels vs interp)", support::Table::fmt(col.ms("grad/kernels")),
              support::Table::fmt(col.ms("grad/interp")),
              bench::ratio(col.ms("grad/interp"), col.ms("grad/kernels"))});
-  t.add_row({"repeated map x256 (cache vs recompile)", support::Table::fmt(col.ms("repeat/cache")),
-             support::Table::fmt(col.ms("repeat/nocache")),
-             bench::ratio(col.ms("repeat/nocache"), col.ms("repeat/cache"))});
   t.add_row({"GMM objective (W=8 vs W=1 lanes)", support::Table::fmt(col.ms("obj/kernels")),
              support::Table::fmt(col.ms("obj/kernels-w1")),
              bench::ratio(col.ms("obj/kernels-w1"), col.ms("obj/kernels"))});
@@ -119,7 +112,7 @@ int main(int argc, char** argv) {
              support::Table::fmt(col.ms("grad/kernels")),
              support::Table::fmt(col.ms("grad/novexec")),
              bench::ratio(col.ms("grad/novexec"), col.ms("grad/kernels"))});
-  std::cout << "\nAblation B: kernel-compiled scalar maps and the kernel cache\n";
+  std::cout << "\nAblation B: kernel-compiled scalar maps\n";
   t.print();
 
   bench::write_bench_json("ablation_kernel", col, fast.stats().counters());

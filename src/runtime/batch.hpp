@@ -6,14 +6,13 @@
 // same-program requests execute as ONE flattened launch instead of N
 // interpreter entries. This is exactly the regular-nest shape the flattener
 // and kernel tiers were built for; the serving batcher (src/serve) stacks
-// request arguments with `stack_args`, runs the cached batched program, and
+// request arguments with `stack_args`, runs the batched program, and
 // splits results back per request with `unstack_results`.
 //
-// Batched programs are cached process-wide by structural signature of the
-// original function (mirroring ProgCache/KernelCache: immortal entries,
-// shared across all serving tenants).
+// The batched form is built once per program, inside the original program's
+// ProgCache entry (runtime/resolve.hpp), and shares its immortal lifetime: a
+// batched run costs one structural lookup, of the original program.
 
-#include <memory>
 #include <vector>
 
 #include "ir/ast.hpp"
@@ -25,23 +24,6 @@ namespace npad::rt {
 // stacked params, rets lift(r_j). Throws npad::TypeError for programs that
 // cannot batch (no parameters, or accumulator-typed parameters/results).
 ir::Prog make_batched_prog(const ir::Prog& p);
-
-// Process-wide cache of batched forms, keyed by the structural signature of
-// the *original* function. Entries are immortal (like ProgCache).
-class BatchedProgCache {
-public:
-  static BatchedProgCache& global();
-
-  // Returns the cached batched form of `p`, building it on first use.
-  std::shared_ptr<const ir::Prog> get(const ir::Prog& p);
-
-  size_t size() const;
-
-private:
-  struct Impl;
-  Impl* impl_;
-  BatchedProgCache();
-};
 
 // Stacks B per-request argument lists (same arity, same per-position scalar
 // type / element type / shape) into batched values: scalars become rank-1

@@ -473,9 +473,9 @@ public:
       }
       if (ok) {
         outs.assign(s.out_vars.size(), 0.0);
-        // Plan-owned kernels are immortal (the plan cache never evicts), so
-        // the vexec tier applies to scalar blocks too — same pre-decoded
-        // schedule, scalar width.
+        // Plan-owned kernels are immortal (plans live as long as their
+        // program entry), so the vexec tier applies to scalar blocks too —
+        // same pre-decoded schedule, scalar width.
         const vexec::Entry* ve = opts_.use_vexec ? vexec::lookup(k, 1) : nullptr;
         if (ve != nullptr) {
           stats_->vexec_launches.fetch_add(1, std::memory_order_relaxed);
@@ -524,7 +524,7 @@ public:
       inputs.push_back(a);
     }
     if (n < 0) return std::nullopt;
-    auto L = bind_map_launch(s.kernel, nullptr, o, inputs, env);
+    auto L = bind_map_launch(s.kernel, o, inputs, env);
     if (!L) return std::nullopt;
     if (o.fused > 0) stats_->fused_maps.fetch_add(o.fused, std::memory_order_relaxed);
     stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
@@ -1282,36 +1282,31 @@ public:
                                          const Env& env) const {
     // Input ranks are validated in bind_map_launch against the kernel's
     // row-param table: rank-1 element inputs, rank-2 row-stream arguments.
-    // The kernel is owned by the process-wide cache (immortal entries) or,
-    // with caching disabled, by the launch itself — either way it outlives
-    // every use, including launches from nested maps.
-    const Kernel* k = nullptr;
-    std::shared_ptr<const Kernel> owned;
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      k = KernelCache::global().get(o.f, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (!k) return std::nullopt;
-    } else {
-      auto kopt = compile_kernel(*o.f);
-      if (!kopt) return std::nullopt;
-      owned = std::make_shared<const Kernel>(std::move(*kopt));
-      k = owned.get();
-    }
-    return bind_map_launch(k, std::move(owned), o, inputs, env);
+    const Kernel* k = map_kernel_for(o.f);
+    if (!k) return std::nullopt;
+    return bind_map_launch(k, o, inputs, env);
+  }
+
+  // Looks up / compiles the map kernel for `f` through the process-wide
+  // cache, whose immortal entries outlive every launch, including launches
+  // from nested maps.
+  const Kernel* map_kernel_for(const LambdaPtr& f) const {
+    bool hit = false;
+    const Kernel* k = KernelCache::global().get(f, &hit);
+    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    return k;
   }
 
   // Binds a map kernel's free variables and accumulators against the
   // environment; nullopt when any binding has the wrong shape. Shared by the
   // per-launch path (try_kernel) and the plan executor, whose MapLaunch steps
   // carry a pre-resolved kernel and only re-bind arguments per execution.
-  std::optional<KernelLaunch> bind_map_launch(const Kernel* k, std::shared_ptr<const Kernel> owned,
-                                              const OpMap& o, const std::vector<ArrayVal>& inputs,
+  std::optional<KernelLaunch> bind_map_launch(const Kernel* k, const OpMap& o,
+                                              const std::vector<ArrayVal>& inputs,
                                               const Env& env) const {
     KernelLaunch L;
     L.k = k;
-    L.owned = std::move(owned);
     // Partition the non-acc arguments: rank-1 element inputs take LoadElem
     // slots in order; rank-2 row arguments bind into the free-array slots
     // reserved by their row-stream params. Any other rank falls back.
@@ -1359,12 +1354,11 @@ public:
   }
 
   // Attaches the vectorized-tier schedule to a bound launch (after lanes are
-  // set — entries are keyed per (kernel, lane width)). Only for immortal
-  // kernels: the vexec cache keys by kernel address, so a launch-owned
-  // kernel (use_kernel_cache off) must stay on the register machine. A null
-  // lookup (unsupported width, failed lowering) is the same no-op.
+  // set — entries are keyed per (kernel, lane width)). Every launch kernel is
+  // cache- or plan-owned and immortal, as the vexec cache's address keys
+  // require. A null lookup (unsupported width, failed lowering) is a no-op.
   void attach_vexec(KernelLaunch& L) const {
-    if (!opts_.use_vexec || L.owned != nullptr) return;
+    if (!opts_.use_vexec) return;
     const vexec::Entry* e = vexec::lookup(*L.k, L.lanes);
     if (e == nullptr) return;
     L.vx = e;
@@ -1550,46 +1544,15 @@ public:
     const int64_t m = *mo;
     // Compile/bind the inner scalar lambda exactly like a rank-1 map launch
     // (same cache, so a previously-launched inner map reuses its kernel).
-    const Kernel* k = nullptr;
-    std::shared_ptr<const Kernel> owned;
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      k = KernelCache::global().get(im->f, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto kopt = compile_kernel(*im->f);
-      if (kopt) {
-        owned = std::make_shared<const Kernel>(std::move(*kopt));
-        k = owned.get();
-      }
-    }
-    if (k == nullptr || !k->accs.empty() || !k->row_param_slots.empty() ||
-        flat.size() != k->num_inputs) {
-      return std::nullopt;
-    }
-    KernelLaunch L;
-    L.k = k;
-    L.owned = std::move(owned);
-    L.inputs = std::move(flat);
-    for (ir::Var v : k->free_scalars) {
-      const Value& val = env.lookup(v);
-      if (is_array(val) || is_acc(val)) return std::nullopt;
-      L.free_scalar_vals.push_back(as_f64(val));
-    }
-    for (ir::Var v : k->free_arrays) {
-      const Value& val = env.lookup(v);
-      if (!is_array(val)) return std::nullopt;
-      L.free_array_vals.push_back(as_array(val));
-    }
-    if (!stream_guards_ok(*k, L.free_array_vals)) return std::nullopt;
+    const Kernel* k = map_kernel_for(im->f);
+    if (k == nullptr || !k->accs.empty() || !k->row_param_slots.empty()) return std::nullopt;
+    auto bound = bind_acc_free_launch(k, flat, {}, env);
+    if (!bound) return std::nullopt;
+    KernelLaunch& L = *bound;
     const int64_t total = n * m;
     for (ScalarType t : k->out_elems) {
       L.outputs.push_back(alloc_launch_buf(t, {total}, /*uninit=*/true));
     }
-    L.lanes = std::max(1, opts_.kernel_lanes);
-    L.batched_spans = &stats_->batched_launches;
-    attach_vexec(L);
     const auto threads = static_cast<int64_t>(support::ThreadPool::global().thread_count());
     const bool fanout = opts_.parallel && threads > 1 && total > opts_.grain &&
                         !support::ThreadPool::in_parallel_region();
@@ -1686,9 +1649,8 @@ public:
 
     // Kernel tier.
     if (!opts_.use_kernels) return std::nullopt;
-    std::shared_ptr<const Kernel> owned;
-    const Kernel* k = reduce_kernel_for(red->op, red->pre, /*scan=*/false, owned);
-    auto L = bind_reduce_launch(k, flat, neutral, std::move(owned), env);
+    const Kernel* k = reduce_kernel_for(red->op, red->pre, /*scan=*/false);
+    auto L = bind_acc_free_launch(k, flat, neutral, env);
     if (!L) return std::nullopt;
     for (size_t j = 0; j < k->reds.size(); ++j) {
       L->outputs.push_back(alloc_launch_buf(red->op->rets[j].elem, {n}, /*uninit=*/true));
@@ -1723,18 +1685,17 @@ public:
   //  3. the general interpreter (now also the redomap fallback: the
   //     pre-lambda is applied per element before the fold).
 
-  // Binds a reduction/scan kernel's free variables against the environment;
-  // nullopt when a free variable has the wrong shape. Reduction kernels are
-  // acc-free by construction (runtime/kernel.cpp).
-  std::optional<KernelLaunch> bind_reduce_launch(const Kernel* k,
+  // Binds an accumulator-free kernel's inputs and free variables against the
+  // environment; nullopt when the input count or a free variable's shape is
+  // wrong. Reduction/scan kernels are acc-free by construction
+  // (runtime/kernel.cpp); run_flat_map checks its inner map kernel.
+  std::optional<KernelLaunch> bind_acc_free_launch(const Kernel* k,
                                                  const std::vector<ArrayVal>& inputs,
                                                  const std::vector<Value>& neutral,
-                                                 std::shared_ptr<const Kernel> owned,
                                                  const Env& env) const {
     if (k == nullptr || inputs.size() != k->num_inputs) return std::nullopt;
     KernelLaunch L;
     L.k = k;
-    L.owned = std::move(owned);
     L.inputs = inputs;
     for (ir::Var v : k->free_scalars) {
       const Value& val = env.lookup(v);
@@ -1759,20 +1720,13 @@ public:
   }
 
   // Looks up / compiles the reduction kernel for (op, pre, scan) through the
-  // process-wide cache (or privately when caching is off).
-  const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan,
-                                  std::shared_ptr<const Kernel>& owned) const {
-    if (opts_.use_kernel_cache) {
-      bool hit = false;
-      const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
-      (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      return k;
-    }
-    auto kopt = compile_reduce_kernel(*op, pre.get(), scan);
-    if (!kopt) return nullptr;
-    owned = std::make_shared<const Kernel>(std::move(*kopt));
-    return owned.get();
+  // process-wide cache.
+  const Kernel* reduce_kernel_for(const LambdaPtr& op, const LambdaPtr& pre, bool scan) const {
+    bool hit = false;
+    const Kernel* k = KernelCache::global().get_reduce(op, pre, scan, &hit);
+    (hit ? stats_->kernel_cache_hits : stats_->kernel_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    return k;
   }
 
   // Converts a kernel partial back to a typed scalar Value.
@@ -1820,9 +1774,8 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && !hand_fast && rank1) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false, owned);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, std::move(owned), env)) {
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
+      if (auto L = bind_acc_free_launch(k, arrs, neutral, env)) {
         stats_->kernel_reduces.fetch_add(1, std::memory_order_relaxed);
         const size_t nred = k->reds.size();
         std::vector<double> partials = L->red_neutral;
@@ -2010,9 +1963,8 @@ public:
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
     if (opts_.use_kernels && rank1) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/true, owned);
-      if (auto L = bind_reduce_launch(k, arrs, neutral, std::move(owned), env)) {
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/true);
+      if (auto L = bind_acc_free_launch(k, arrs, neutral, env)) {
         stats_->kernel_scans.fetch_add(1, std::memory_order_relaxed);
         for (ScalarType t : k->out_elems) {
           L->outputs.push_back(alloc_launch_buf(t, {n}, /*uninit=*/true));
@@ -2243,10 +2195,9 @@ public:
     // Tier 2: compiled combine kernel (scalar f64 bins, []i64 inds).
     if (opts_.use_kernels && dest.rank() == 1 && dest.elem == ScalarType::F64 &&
         vals.rank() == 1 && inds.elem == ScalarType::I64) {
-      std::shared_ptr<const Kernel> owned;
-      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false, owned);
+      const Kernel* k = reduce_kernel_for(o.op, o.pre, /*scan=*/false);
       std::vector<Value> neutral{eval_atom(o.neutral, env)};
-      if (auto L = bind_reduce_launch(k, {vals}, neutral, std::move(owned), env)) {
+      if (auto L = bind_acc_free_launch(k, {vals}, neutral, env)) {
         stats_->kernel_hists.fetch_add(1, std::memory_order_relaxed);
         double* d = dest.buf->f64() + dest.offset;
         const int64_t* ip = inds.buf->i64() + inds.offset;
@@ -2360,12 +2311,10 @@ public:
   }
 
   // Lambda-body plan table of the resolved program being run (nullptr when
-  // plans are off): set once by Interp::run before evaluation starts, read
-  // by apply() on every application. The table is immutable after plan
-  // compilation, so concurrent readers need no synchronization.
-  void set_lambda_plans(const ProgPlans* plans) {
-    lambda_plans_ = plans != nullptr ? &plans->lambdas : nullptr;
-  }
+  // plans are off): set once by Interp::run_resolved before evaluation
+  // starts, read by apply() on every application. The table is immutable
+  // after plan compilation, so concurrent readers need no synchronization.
+  void set_lambda_plans(const ProgPlans& plans) { lambda_plans_ = &plans.lambdas; }
 
 private:
   InterpOptions opts_;
@@ -2375,23 +2324,31 @@ private:
 
 } // namespace
 
-std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
-  if (args.size() != p.fn.params.size()) {
-    throw TypeError("program expects " + std::to_string(p.fn.params.size()) +
-                    " arguments, got " + std::to_string(args.size()));
+void Interp::check_arg_count(const ir::Function& fn, size_t nargs) {
+  if (nargs != fn.params.size()) {
+    throw TypeError("program expects " + std::to_string(fn.params.size()) +
+                    " arguments, got " + std::to_string(nargs));
   }
+}
+
+std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
+  check_arg_count(p.fn, args.size());
   // Slot-resolve (cached process-wide): the interpreter evaluates the
   // alpha-renamed clone, whose variables index flat frames.
-  std::shared_ptr<const ResolvedProg> rp = ProgCache::global().get(p);
+  return run_resolved(*ProgCache::global().get(p), args);
+}
+
+std::vector<Value> Interp::run_resolved(const ResolvedProg& rp,
+                                        const std::vector<Value>& args) const {
   EvalCtx ctx(*this);
-  Env env(*rp, rp->root_activation);
-  for (size_t i = 0; i < args.size(); ++i) env.bind(rp->fn.params[i].var, args[i]);
+  Env env(rp, rp.root_activation);
+  for (size_t i = 0; i < args.size(); ++i) env.bind(rp.fn.params[i].var, args[i]);
   // Compiled execution plans (runtime/plan.hpp): lowered once per resolved
-  // program, cached process-wide. Plans pre-bind map kernels from the kernel
+  // program, inside its entry. Plans pre-bind map kernels from the kernel
   // cache, so they are only sound to execute when kernels are enabled.
   if (opts_.use_plans && opts_.use_kernels) {
     uint64_t compiled = 0;
-    const ProgPlans* plans = PlanCache::global().get(rp, &compiled);
+    const ProgPlans& plans = plans_of(rp, &compiled);
     if (compiled > 0) stats_.plans_compiled.fetch_add(compiled, std::memory_order_relaxed);
     ctx.set_lambda_plans(plans);
     // The run-level launch arena: liveness releases make straight-line and
@@ -2400,9 +2357,9 @@ std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args
     // inside the run (not around it): an unwinding fault tears it down and
     // restores the pool footprint before the error reaches the caller.
     HoistRingGuard arena(/*enable=*/true, /*arena=*/true);
-    return ctx.eval_body_planned(rp->fn.body, *plans->top, env);
+    return ctx.eval_body_planned(rp.fn.body, *plans.top, env);
   }
-  return ctx.eval_body(rp->fn.body, env);
+  return ctx.eval_body(rp.fn.body, env);
 }
 
 std::vector<Value> run_prog(const ir::Prog& p, const std::vector<Value>& args,

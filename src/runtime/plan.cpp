@@ -25,6 +25,9 @@ bool scalar_glue(const Stm& st) {
          std::holds_alternative<OpUn>(st.e) || std::holds_alternative<OpSelect>(st.e);
 }
 
+// Lowers `body` into a plan (recursing into plannable loop bodies and OpIf
+// arms). `nplans`, when set, is incremented once per plan object compiled —
+// the InterpStats::plans_compiled feed.
 std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans);
 
 // A plan worth routing through the planned evaluator: it either compiled
@@ -204,55 +207,27 @@ void collect_lambdas(const Body& b, std::vector<const Lambda*>& out) {
 
 } // namespace
 
-std::unique_ptr<const Plan> compile_plan(const ir::Body& body, uint64_t* nplans) {
-  return compile_body_plan(body, nplans);
-}
-
-PlanCache& PlanCache::global() {
-  // Leaked singleton, same lifetime policy as KernelCache/ProgCache: plans
-  // hand out raw pointers that must stay valid on every thread until exit.
-  static PlanCache* cache = new PlanCache();
-  return *cache;
-}
-
-const ProgPlans* PlanCache::get(const std::shared_ptr<const ResolvedProg>& rp,
-                                uint64_t* compiled) {
-  // Crossed on every lookup (not just the compiling one) so the fault sweep
-  // exercises the acquisition path deterministically despite the cache being
+const ProgPlans& plans_of(const ResolvedProg& rp, uint64_t* compiled) {
+  // Crossed on every call (not just the compiling one) so the fault sweep
+  // exercises the acquisition path deterministically despite the entry being
   // immortal: the site's crossing count is per run, not per process.
   NPAD_FAULT_SITE("plan.compile", FaultKind::Alloc);
-  {
-    std::shared_lock lk(mu_);
-    auto it = by_rp_.find(rp.get());
-    if (it != by_rp_.end()) return it->second.get();
-  }
-  uint64_t n = 0;
-  auto plans = std::make_unique<ProgPlans>();
-  plans->top = compile_plan(rp->fn.body, &n);
-  // Lambda bodies entered via apply() compile alongside the top-level plan;
-  // only plans that earn their keep are tabled (see plan.hpp).
-  std::vector<const ir::Lambda*> lams;
-  collect_lambdas(rp->fn.body, lams);
-  for (const ir::Lambda* l : lams) {
-    if (plans->lambdas.count(l)) continue;
-    auto lp = compile_body_plan(l->body, &n);
-    if (plan_earns_keep(*lp)) plans->lambdas.emplace(l, std::move(lp));
-  }
-  std::unique_lock lk(mu_);
-  auto [it, fresh] = by_rp_.try_emplace(rp.get(), nullptr);
-  if (fresh) {
-    it->second = std::move(plans);
-    pinned_.push_back(rp);
+  return rp.plans.get([&] {
+    uint64_t n = 0;
+    auto plans = std::make_shared<ProgPlans>();
+    plans->top = compile_body_plan(rp.fn.body, &n);
+    // Lambda bodies entered via apply() compile alongside the top-level plan;
+    // only plans that earn their keep are tabled (see plan.hpp).
+    std::vector<const ir::Lambda*> lams;
+    collect_lambdas(rp.fn.body, lams);
+    for (const ir::Lambda* l : lams) {
+      if (plans->lambdas.count(l)) continue;
+      auto lp = compile_body_plan(l->body, &n);
+      if (plan_earns_keep(*lp)) plans->lambdas.emplace(l, std::move(lp));
+    }
     if (compiled != nullptr) *compiled = n;
-  }
-  // A losing race discards this thread's plans; the winner's are equivalent
-  // (compilation is deterministic) and already published.
-  return it->second.get();
-}
-
-size_t PlanCache::size() const {
-  std::shared_lock lk(mu_);
-  return by_rp_.size();
+    return plans;
+  });
 }
 
 } // namespace npad::rt

@@ -54,13 +54,11 @@
 // preconditions fail at runtime (an unexpected binding shape), it falls back
 // to the general evaluator for that statement.
 //
-// PlanCache is process-wide and immortal like KernelCache/ProgCache, keyed
-// by the ResolvedProg entry (resolved programs are themselves structurally
-// deduplicated, so pointer identity is a sound structural key). Lambda keys
-// are pointers into the pinned resolved program, so they share its lifetime.
+// Plans are built once per resolved program, inside its ProgCache entry
+// (plans_of below), so they are immortal like the entry itself. Lambda keys
+// are pointers into that entry's alpha-renamed function.
 
 #include <memory>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -115,31 +113,12 @@ struct ProgPlans {
   std::unordered_map<const ir::Lambda*, std::unique_ptr<const Plan>> lambdas;
 };
 
-// Lowers `body` into a plan (recursing into plannable loop bodies and OpIf
-// arms). `nplans`, when set, is incremented once per plan object compiled
-// (including nested loop-body and if-arm plans) — the
-// InterpStats::plans_compiled feed.
-std::unique_ptr<const Plan> compile_plan(const ir::Body& body, uint64_t* nplans = nullptr);
-
-// Process-wide immortal cache of execution plans for resolved programs.
-class PlanCache {
-public:
-  static PlanCache& global();
-
-  // Returns the compiled schedule for `rp` (top-level body plan + lambda
-  // table), compiling on first sight. `compiled`, when set, receives the
-  // number of plan objects compiled by this call (0 on a cache hit).
-  // Carries the fault site "plan.compile" (FaultKind::Alloc), crossed once
-  // per lookup so the sweep exercises the acquisition path deterministically.
-  const ProgPlans* get(const std::shared_ptr<const ResolvedProg>& rp,
-                       uint64_t* compiled = nullptr);
-
-  size_t size() const;
-
-private:
-  mutable std::shared_mutex mu_;
-  std::unordered_map<const ResolvedProg*, std::unique_ptr<const ProgPlans>> by_rp_;
-  std::vector<std::shared_ptr<const ResolvedProg>> pinned_;  // keep keys alive
-};
+// Returns the compiled schedule for `rp` (top-level body plan + lambda
+// table), compiling it inside the entry on first use. `compiled`, when set,
+// receives the number of plan objects compiled by the call that builds them;
+// later calls leave it untouched.
+// Carries the fault site "plan.compile" (FaultKind::Alloc), crossed on every
+// call so the sweep exercises the acquisition path deterministically.
+const ProgPlans& plans_of(const ResolvedProg& rp, uint64_t* compiled = nullptr);
 
 } // namespace npad::rt

@@ -135,17 +135,14 @@ size_t ProgCache::size() const {
   return by_sig_.size();
 }
 
-std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p, bool* was_hit) {
+std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p) {
   std::vector<uint64_t> sig = ir::structural_sig(p.fn);
   const uint64_t h = ir::structural_hash(sig);
   {
     std::shared_lock lk(mu_);
     auto [lo, hi] = by_sig_.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
-      if (it->second.sig == sig) {
-        if (was_hit) *was_hit = true;
-        return it->second.rp;
-      }
+      if (it->second.sig == sig) return it->second.rp;
     }
   }
   // Resolve outside the lock; a racing thread may do the same work, but the
@@ -154,13 +151,9 @@ std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p, bool* was_
   std::unique_lock lk(mu_);
   auto [lo, hi] = by_sig_.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
-    if (it->second.sig == sig) {
-      if (was_hit) *was_hit = true;
-      return it->second.rp;
-    }
+    if (it->second.sig == sig) return it->second.rp;
   }
   by_sig_.emplace(h, Entry{std::move(sig), rp});
-  if (was_hit) *was_hit = false;
   return rp;
 }
 

@@ -5,8 +5,9 @@
 // (reverse-mode vjp for the scalar objectives, forward-mode jvp for the
 // residual Jacobians, mirroring how the paper-table benches evaluate each
 // workload). Programs are built once per process — the registry shares the
-// immortal ProgCache/KernelCache/PlanCache entries across every serving
-// tenant, so a request never pays compilation after first touch.
+// immortal ProgCache entries (with their plans and batched forms) and
+// KernelCache entries across every serving tenant, so a request never pays
+// compilation after first touch.
 
 #include <cstdint>
 #include <functional>

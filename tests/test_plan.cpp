@@ -461,9 +461,9 @@ TEST(PlanSteadyState, ArenaAbsorbsPerRowPoolTraffic) {
   EXPECT_GT(reuse_big, reuse_small);
 }
 
-// Plan cache behavior: repeated runs of the same resolved program compile
-// the plan once (process-wide), like the kernel cache.
-TEST(PlanCache, CompilesOncePerProgram) {
+// Plans are built once per program entry: a later run of the same program,
+// from any interpreter, compiles nothing.
+TEST(ProgPlans, CompilesOncePerProgram) {
   Prog p = all_steps_prog(4);
   typecheck(p);
   npad::support::Rng rng(38);

@@ -1,5 +1,6 @@
 // Tests for the runtime hot-path machinery: the process-wide kernel cache
 // (structural-hash keying, free-scalar rebinding, nested-map lifetime), the
+// program cache entries (shared resolution, plans and batched forms), the
 // privatized-accumulator launches, and the slot-resolved environments
 // (shadowing, nested scopes, loop frame reuse).
 
@@ -13,6 +14,7 @@
 #include "runtime/interp.hpp"
 #include "runtime/kernel_cache.hpp"
 #include "runtime/resolve.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -77,41 +79,93 @@ TEST(KernelCache, StructurallyIdenticalProgsShareResolution) {
   for (int64_t i = 0; i < 2; ++i) {
     EXPECT_DOUBLE_EQ(as_array(r1[0]).get_f64(i), as_array(r2[0]).get_f64(i));
   }
+
+  // Batched runs build the batched form (and its plans) inside the shared
+  // entry: no entry of their own, and the second program finds the first
+  // one's batched plans already compiled.
+  InterpOptions seq;
+  seq.parallel = false;
+  ArrayVal zs = make_f64_array({-2.0, 3.25}, {2});
+  const std::vector<std::vector<Value>> batch = {{4.0, xs}, {-1.5, zs}, {0.25, xs}};
+  Interp b1(seq), b2(seq), ref(seq);
+  auto s1 = b1.run_batched(p1, batch);
+  auto s2 = b2.run_batched(p2, batch);
+  EXPECT_EQ(ProgCache::global().size(), progs_before);
+  EXPECT_EQ(b1.stats().batched_prog_runs.load(), 1u);
+  EXPECT_EQ(b2.stats().plans_compiled.load(), 0u) << "batched plans compiled twice";
+  ASSERT_EQ(s1.size(), batch.size());
+  ASSERT_EQ(s2.size(), batch.size());
+  for (size_t r = 0; r < batch.size(); ++r) {
+    const ArrayVal want = as_array(ref.run(p1, batch[r])[0]);
+    for (const auto* got : {&s1[r], &s2[r]}) {
+      const ArrayVal& g = as_array((*got)[0]);
+      ASSERT_EQ(g.shape, want.shape);
+      for (int64_t i = 0; i < 2; ++i) EXPECT_EQ(g.get_f64(i), want.get_f64(i)) << r << "," << i;
+    }
+  }
+}
+
+// Programs that cannot batch, and batches of the wrong arity, throw a
+// TypeError on every call: a failed build of the batched form leaves the
+// entry unbuilt rather than poisoned, and plain runs keep working.
+TEST(ProgCache, BatchRejectionsThrowEveryTime) {
+  ProgBuilder z("zero_args");
+  Prog zero = z.finish({Atom(z.body().add(cf64(1.0), cf64(2.0)))});
+  typecheck(zero);
+
+  ProgBuilder a("acc_arg");
+  Var x = a.param("x", f64());
+  a.param("acc", acc_of(arr_f64(1)));
+  Prog acc = a.finish({Atom(a.body().mul(x, cf64(2.0)))});
+  typecheck(acc);
+
+  Prog scaled = scaled_map_prog();
+  typecheck(scaled);
+  ArrayVal xs = make_f64_array({0.5, 1.5}, {2});
+  const Value acc_arg = AccVal{make_f64_array({0.0}, {1})};
+
+  Interp in;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_THROW(in.run_batched(zero, {{}, {}}), npad::TypeError) << attempt;
+    EXPECT_THROW(in.run_batched(acc, {{1.0, acc_arg}, {2.0, acc_arg}}), npad::TypeError)
+        << attempt;
+    EXPECT_THROW(in.run_batched(scaled, {{xs}, {xs}, {xs}}), npad::TypeError) << attempt;
+  }
+  EXPECT_DOUBLE_EQ(as_f64(in.run(zero, {})[0]), 3.0);
+  EXPECT_DOUBLE_EQ(as_f64(in.run(acc, {3.0, acc_arg})[0]), 6.0);
+  EXPECT_DOUBLE_EQ(as_array(in.run(scaled, {2.0, xs})[0]).get_f64(0),
+                   0.5 * 2.0 + std::sin(2.0) + 7.25);
 }
 
 // Regression for the pre-cache lifetime hazard: a nested kernel launch used
 // to clear the thread-local vector keeping the outer launch's kernel alive.
 // Outer map is general-path (rank-1 rows), inner maps are kernel-compiled.
 TEST(KernelCache, NestedMapsKeepKernelsAlive) {
-  for (bool use_cache : {true, false}) {
-    ProgBuilder pb("nested");
-    Var c = pb.param("c", f64());
-    Var m = pb.param("m", arr_f64(2));
-    Builder& b = pb.body();
-    Var rows = b.map1(b.lam({arr_f64(1)},
-                            [&](Builder& outer, const std::vector<Var>& rp) {
-                              Var sq = outer.map1(
-                                  outer.lam({f64()},
-                                            [&](Builder& inner, const std::vector<Var>& ip) {
-                                              Var t = inner.mul(inner.mul(ip[0], ip[0]), c);
-                                              return std::vector<Atom>{Atom(t)};
-                                            }),
-                                  {rp[0]});
-                              Var s = outer.reduce1(outer.add_op(), cf64(0.0), {sq});
-                              return std::vector<Atom>{Atom(s)};
-                            }),
-                      {m});
-    Prog p = pb.finish({Atom(rows)});
-    typecheck(p);
+  ProgBuilder pb("nested");
+  Var c = pb.param("c", f64());
+  Var m = pb.param("m", arr_f64(2));
+  Builder& b = pb.body();
+  Var rows = b.map1(b.lam({arr_f64(1)},
+                          [&](Builder& outer, const std::vector<Var>& rp) {
+                            Var sq = outer.map1(
+                                outer.lam({f64()},
+                                          [&](Builder& inner, const std::vector<Var>& ip) {
+                                            Var t = inner.mul(inner.mul(ip[0], ip[0]), c);
+                                            return std::vector<Atom>{Atom(t)};
+                                          }),
+                                {rp[0]});
+                            Var s = outer.reduce1(outer.add_op(), cf64(0.0), {sq});
+                            return std::vector<Atom>{Atom(s)};
+                          }),
+                    {m});
+  Prog p = pb.finish({Atom(rows)});
+  typecheck(p);
 
-    ArrayVal mat = make_f64_array({1, 2, 3, 4, 5, 6}, {2, 3});
-    InterpOptions opts;
-    opts.use_kernel_cache = use_cache;
-    auto r = run_prog(p, {2.0, mat}, opts);
-    const ArrayVal& out = as_array(r[0]);
-    EXPECT_DOUBLE_EQ(out.get_f64(0), (1.0 + 4.0 + 9.0) * 2.0);
-    EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
-  }
+  ArrayVal mat = make_f64_array({1, 2, 3, 4, 5, 6}, {2, 3});
+  auto r = run_prog(p, {2.0, mat});
+  const ArrayVal& out = as_array(r[0]);
+  EXPECT_DOUBLE_EQ(out.get_f64(0), (1.0 + 4.0 + 9.0) * 2.0);
+  EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
 }
 
 // f(xs, is) = sum_j xs[is_j]^2; its vjp accumulates 2*xs[i]*seed into the
