@@ -115,10 +115,9 @@ double digamma_approx(double x) {
   return result;
 }
 
-// The recognized-binop fast paths of reduce, scan and hist share one combine
-// helper (previously three copies of the same switch). Only the four
-// operators with useful scalar identities are combinable; everything else
-// goes through the kernel or general paths.
+// The recognized-binop fast paths of reduce, segmented reduce and hist share
+// one combine helper. Only the four operators with useful scalar identities
+// are combinable; everything else goes through the kernel or general paths.
 inline bool combinable_f64(BinOp op) {
   return op == BinOp::Add || op == BinOp::Mul || op == BinOp::Min || op == BinOp::Max;
 }
@@ -356,8 +355,28 @@ public:
   // Statements execute in the caller's frame: nested bodies (if branches) are
   // not activations — their bindings have dedicated slots in the enclosing
   // frame (binding ids are unique after alpha-renaming).
-  std::vector<Value> eval_body(const Body& b, Env& env) const {
-    for (const auto& st : b.stms) exec_stm(st, env);
+  //
+  // With a compiled plan for the body (runtime/plan.hpp), a Scalars step runs
+  // its folded block and every other step runs its statement through
+  // exec_stm with the step attached, so planned evaluation is a strict
+  // refinement of the unplanned one: identical bindings, identical results,
+  // identical error context frames.
+  std::vector<Value> eval_body(const Body& b, Env& env, const Plan* plan = nullptr) const {
+    if (plan == nullptr) {
+      for (const auto& st : b.stms) exec_stm(st, env);
+    } else {
+      for (const PlanStep& s : plan->steps) {
+        if (s.scalars) {
+          run_scalar_step(b, s, env);
+        } else {
+          exec_stm(b.stms[s.stm], env, &s);
+        }
+        // Liveness releases run between steps on the calling thread — every
+        // launch of the step has completed, so no in-flight reader exists and
+        // the dropped reference can make an arena buffer sole-owner.
+        for (ir::Var v : s.releases) env.release(v);
+      }
+    }
     std::vector<Value> out;
     out.reserve(b.result.size());
     for (const auto& a : b.result) out.push_back(eval_atom(a, env));
@@ -366,9 +385,8 @@ public:
 
   // Lambda application. When the enclosing resolved program's compiled
   // schedule tabled a plan for this body (runtime/plan.hpp), the application
-  // routes through the planned evaluator — same frames, same results, plus
-  // scalar-block/map-launch fast steps and liveness releases; everything
-  // else stays on plain eval_body.
+  // runs it — same frames, same results, plus scalar-block/pre-bound kernel
+  // fast steps and liveness releases; everything else stays unplanned.
   std::vector<Value> apply(const Lambda& f, std::vector<Value> args, const Env& captured) const {
     assert(args.size() == f.params.size());
     EvalDepthGuard depth_guard(opts_.max_eval_depth);
@@ -379,15 +397,16 @@ public:
       if (it != lambda_plans_->end()) {
         NPAD_FAULT_SITE("plan.apply_body", FaultKind::Chunk);
         stats_->plan_lambda_bodies.fetch_add(1, std::memory_order_relaxed);
-        return eval_body_planned(f.body, *it->second, env);
+        return eval_body(f.body, env, it->second.get());
       }
     }
     return eval_body(f.body, env);
   }
 
-  void exec_stm(const Stm& st, Env& env) const {
+  // `step`, when set, is the statement's compiled plan step (see eval_body).
+  void exec_stm(const Stm& st, Env& env, const PlanStep* step = nullptr) const {
     try {
-      std::vector<Value> vals = eval_exp(st.e, env);
+      std::vector<Value> vals = eval_exp(st.e, env, step);
       assert(vals.size() == st.vars.size());
       for (size_t i = 0; i < vals.size(); ++i) env.bind(st.vars[i], std::move(vals[i]));
     } catch (npad::Error& err) {
@@ -395,57 +414,6 @@ public:
       // what() reads like a stack trace through the evaluated program.
       std::string frame = "in ";
       frame += exp_kind(st.e);
-      if (!st.vars.empty()) frame += " binding " + env.name_of(st.vars[0]);
-      err.add_context(std::move(frame));
-      throw;
-    }
-  }
-
-  // ------------------------------------------------------ execution plans ---
-  //
-  // Step dispatch for compiled plans (runtime/plan.hpp). Each step either
-  // executes its pre-lowered fast form or falls back to exec_stm for that one
-  // statement, so planned evaluation is a strict refinement of eval_body:
-  // identical bindings, identical results, identical error context frames.
-  std::vector<Value> eval_body_planned(const Body& b, const Plan& plan, Env& env) const {
-    for (const PlanStep& s : plan.steps) {
-      switch (s.kind) {
-        case PlanStep::Kind::General: exec_stm(b.stms[s.stm], env); break;
-        case PlanStep::Kind::Scalars: run_scalar_step(b, s, env); break;
-        case PlanStep::Kind::MapLaunch: run_map_step(b, s, env); break;
-        case PlanStep::Kind::Loop: run_loop_step(b, s, env); break;
-        case PlanStep::Kind::If: run_if_step(b, s, env); break;
-      }
-      // Liveness releases run between steps on the calling thread — every
-      // launch of the step has completed, so no in-flight reader exists and
-      // the dropped reference can make an arena buffer sole-owner.
-      for (ir::Var v : s.releases) env.release(v);
-    }
-    std::vector<Value> out;
-    out.reserve(b.result.size());
-    for (const auto& a : b.result) out.push_back(eval_atom(a, env));
-    return out;
-  }
-
-  // If step: the planned mirror of eval_exp's OpIf — the condition evaluates
-  // as a plan step and the taken arm runs its own nested plan in the
-  // enclosing frame (if-arm bodies are not activations; their bindings have
-  // slots in this frame). Error frames replicate the general path exactly:
-  // arm statements add their own exec_stm frames, and this step adds the
-  // same "in if binding" frame exec_stm would.
-  void run_if_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpIf>(st.e);
-    try {
-      NPAD_FAULT_SITE("plan.if_arm", FaultKind::Chunk);
-      const bool c = as_bool(eval_atom(o.c, env));
-      stats_->plan_if_arms.fetch_add(1, std::memory_order_relaxed);
-      std::vector<Value> vals = c ? eval_body_planned(*o.tb, *s.if_true, env)
-                                  : eval_body_planned(*o.fb, *s.if_false, env);
-      assert(vals.size() == st.vars.size());
-      for (size_t i = 0; i < vals.size(); ++i) env.bind(st.vars[i], std::move(vals[i]));
-    } catch (npad::Error& err) {
-      std::string frame = "in if";
       if (!st.vars.empty()) frame += " binding " + env.name_of(st.vars[0]);
       err.add_context(std::move(frame));
       throw;
@@ -499,99 +467,7 @@ public:
     }
   }
 
-  // MapLaunch step: re-binds arguments against the pre-resolved kernel and
-  // launches — no cache lookup, no compile-or-not dispatch. Any precondition
-  // the plan could not prove statically (rank-1 inputs, equal extents, free
-  // binding shapes) re-checks here; a mismatch hands the whole statement to
-  // the general evaluator, which reproduces the exact error/semantics.
-  std::optional<std::vector<Value>> try_map_step(const OpMap& o, const PlanStep& s,
-                                                 Env& env) const {
-    const Lambda& f = *o.f;
-    std::vector<ArrayVal> inputs;
-    int64_t n = -1;
-    for (size_t i = 0; i < o.args.size(); ++i) {
-      if (f.params[i].type.is_acc) continue;  // bound below via the kernel's acc table
-      const Value& v = env.lookup(o.args[i]);
-      if (!is_array(v)) return std::nullopt;
-      const ArrayVal& a = as_array(v);
-      // Ranks are validated by bind_map_launch (rank-1 elements, rank-2 row
-      // arguments); only the shared outer extent is checked here.
-      if (n < 0) {
-        n = a.outer();
-      } else if (a.outer() != n) {
-        return std::nullopt;  // general path throws the proper ShapeError
-      }
-      inputs.push_back(a);
-    }
-    if (n < 0) return std::nullopt;
-    auto L = bind_map_launch(s.kernel, o, inputs, env);
-    if (!L) return std::nullopt;
-    if (o.fused > 0) stats_->fused_maps.fetch_add(o.fused, std::memory_order_relaxed);
-    stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
-    stats_->plan_launches.fetch_add(1, std::memory_order_relaxed);
-    return run_kernel(*L, f, o, n, env);
-  }
-
-  void run_map_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpMap>(st.e);
-    std::optional<std::vector<Value>> r;
-    try {
-      NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
-      r = try_map_step(o, s, env);
-    } catch (npad::Error& err) {
-      // Same frames the general path accumulates (eval_exp + exec_stm).
-      err.add_context(launch_frame("map", args_extent(o.args, env)));
-      if (!st.vars.empty()) err.add_context("in map binding " + env.name_of(st.vars[0]));
-      throw;
-    }
-    if (!r) {
-      exec_stm(st, env);
-      return;
-    }
-    for (size_t i = 0; i < r->size(); ++i) env.bind(st.vars[i], std::move((*r)[i]));
-  }
-
-  // Loop step: the planned mirror of eval_loop's for-form. The nested body
-  // plan executes every iteration, and the outermost planned loop installs
-  // the loop-buffer ring (extents are provably loop-invariant, so iteration
-  // 2+ scratch acquisitions all hit the ring).
-  void run_loop_step(const Body& b, const PlanStep& s, Env& env) const {
-    const Stm& st = b.stms[s.stm];
-    const auto& o = std::get<OpLoop>(st.e);
-    try {
-      NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
-      std::vector<Value> state;
-      state.reserve(o.init.size());
-      for (const auto& a : o.init) state.push_back(eval_atom(a, env));
-      const int64_t n = as_i64(eval_atom(o.count, env));
-      if (n > 0) {
-        HoistRingGuard ring(s.hoist_buffers);
-        HoistedLoopScope hoisted(s.hoist_buffers);
-        Env it_env(env, o.activation_id);
-        for (int64_t i = 0; i < n; ++i) {
-          if (o.idx.valid()) it_env.bind(o.idx, i);
-          for (size_t k = 0; k < o.params.size(); ++k)
-            it_env.bind(o.params[k].var, std::move(state[k]));
-          try {
-            NPAD_FAULT_SITE("loop.iter", FaultKind::Chunk);
-            NPAD_FAULT_SITE("plan.loop_iter", FaultKind::Chunk);
-            state = eval_body_planned(*o.body, *s.loop_body, it_env);
-          } catch (npad::Error& err) {
-            err.add_context("in loop iteration " + std::to_string(i) + " of " +
-                            std::to_string(n));
-            throw;
-          }
-        }
-      }
-      for (size_t k = 0; k < st.vars.size(); ++k) env.bind(st.vars[k], std::move(state[k]));
-    } catch (npad::Error& err) {
-      if (!st.vars.empty()) err.add_context("in loop binding " + env.name_of(st.vars[0]));
-      throw;
-    }
-  }
-
-  std::vector<Value> eval_exp(const Exp& e, Env& env) const {
+  std::vector<Value> eval_exp(const Exp& e, Env& env, const PlanStep* step = nullptr) const {
     return std::visit(
         Overload{
             [&](const OpAtom& o) -> std::vector<Value> { return {eval_atom(o.a, env)}; },
@@ -697,12 +573,21 @@ public:
               return {v};
             },
             [&](const OpIf& o) -> std::vector<Value> {
-              return eval_body(as_bool(eval_atom(o.c, env)) ? *o.tb : *o.fb, env);
+              // A planned OpIf runs the taken arm's plan.
+              const bool planned = step != nullptr && step->if_true != nullptr;
+              if (planned) NPAD_FAULT_SITE("plan.if_arm", FaultKind::Chunk);
+              const bool c = as_bool(eval_atom(o.c, env));
+              if (!planned) return eval_body(c ? *o.tb : *o.fb, env);
+              stats_->plan_if_arms.fetch_add(1, std::memory_order_relaxed);
+              return c ? eval_body(*o.tb, env, step->if_true.get())
+                       : eval_body(*o.fb, env, step->if_false.get());
             },
-            [&](const OpLoop& o) -> std::vector<Value> { return eval_loop(o, env); },
+            [&](const OpLoop& o) -> std::vector<Value> {
+              return eval_loop(o, env, step != nullptr ? step->loop_body.get() : nullptr);
+            },
             [&](const OpMap& o) -> std::vector<Value> {
               try {
-                return eval_map(o, env);
+                return eval_map(o, env, step != nullptr ? step->kernel : nullptr);
               } catch (npad::Error& err) {
                 err.add_context(launch_frame("map", args_extent(o.args, env)));
                 throw;
@@ -947,7 +832,13 @@ public:
   }
 
   // ---------------------------------------------------------------- loop ---
-  std::vector<Value> eval_loop(const OpLoop& o, Env& env) const {
+  //
+  // `body_plan`, when set, is a planned for-loop's body plan: its extents are
+  // provably loop-invariant, so the outermost planned loop installs the
+  // loop-buffer ring and iteration 2+ scratch acquisitions all hit it.
+  std::vector<Value> eval_loop(const OpLoop& o, Env& env, const Plan* body_plan = nullptr) const {
+    const bool planned = body_plan != nullptr;
+    if (planned) NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
     std::vector<Value> state;
     state.reserve(o.init.size());
     for (const auto& a : o.init) state.push_back(eval_atom(a, env));
@@ -972,6 +863,8 @@ public:
     }
     const int64_t n = as_i64(eval_atom(o.count, env));
     if (n <= 0) return state;
+    HoistRingGuard ring(planned);
+    HoistedLoopScope hoisted(planned);
     Env it_env(env, o.activation_id);
     for (int64_t i = 0; i < n; ++i) {
       if (o.idx.valid()) it_env.bind(o.idx, i);
@@ -979,7 +872,8 @@ public:
         it_env.bind(o.params[k].var, std::move(state[k]));
       try {
         NPAD_FAULT_SITE("loop.iter", FaultKind::Chunk);
-        state = eval_body(*o.body, it_env);
+        if (planned) NPAD_FAULT_SITE("plan.loop_iter", FaultKind::Chunk);
+        state = eval_body(*o.body, it_env, body_plan);
       } catch (npad::Error& err) {
         err.add_context("in loop iteration " + std::to_string(i) + " of " + std::to_string(n));
         throw;
@@ -1031,7 +925,12 @@ public:
   }
 
   // ----------------------------------------------------------------- map ---
-  std::vector<Value> eval_map(const OpMap& o, Env& env) const {
+  //
+  // `planned`, when set, is the kernel the statement's plan step pre-bound
+  // (runtime/plan.hpp): it replaces the per-launch cache lookup, and a launch
+  // through it counts as a plan launch.
+  std::vector<Value> eval_map(const OpMap& o, Env& env, const Kernel* planned = nullptr) const {
+    if (planned != nullptr) NPAD_FAULT_SITE("plan.step", FaultKind::Chunk);
     const Lambda& f = *o.f;
     if (o.fused > 0) stats_->fused_maps.fetch_add(o.fused, std::memory_order_relaxed);
     // Element inputs (non-acc) and threaded accumulator args.
@@ -1070,9 +969,13 @@ public:
     }
 
     if (opts_.use_kernels) {
-      if (auto kopt = try_kernel(o, inputs, env)) {
+      // Input ranks are validated in bind_map_launch against the kernel's
+      // row-param table: rank-1 element inputs, rank-2 row-stream arguments.
+      const Kernel* k = planned != nullptr ? planned : map_kernel_for(o.f);
+      if (auto L = bind_map_launch(k, o, inputs, env)) {
         stats_->kernel_maps.fetch_add(1, std::memory_order_relaxed);
-        return run_kernel(*kopt, f, o, n, env);
+        if (planned != nullptr) stats_->plan_launches.fetch_add(1, std::memory_order_relaxed);
+        return run_kernel(*L, f, o, n, env);
       }
     }
     stats_->general_maps.fetch_add(1, std::memory_order_relaxed);
@@ -1278,15 +1181,6 @@ public:
     return true;
   }
 
-  std::optional<KernelLaunch> try_kernel(const OpMap& o, const std::vector<ArrayVal>& inputs,
-                                         const Env& env) const {
-    // Input ranks are validated in bind_map_launch against the kernel's
-    // row-param table: rank-1 element inputs, rank-2 row-stream arguments.
-    const Kernel* k = map_kernel_for(o.f);
-    if (!k) return std::nullopt;
-    return bind_map_launch(k, o, inputs, env);
-  }
-
   // Looks up / compiles the map kernel for `f` through the process-wide
   // cache, whose immortal entries outlive every launch, including launches
   // from nested maps.
@@ -1298,13 +1192,13 @@ public:
     return k;
   }
 
-  // Binds a map kernel's free variables and accumulators against the
-  // environment; nullopt when any binding has the wrong shape. Shared by the
-  // per-launch path (try_kernel) and the plan executor, whose MapLaunch steps
-  // carry a pre-resolved kernel and only re-bind arguments per execution.
+  // Binds a map kernel's inputs, free variables and accumulators against the
+  // environment; nullopt when there is no kernel or any binding has the
+  // wrong shape.
   std::optional<KernelLaunch> bind_map_launch(const Kernel* k, const OpMap& o,
                                               const std::vector<ArrayVal>& inputs,
                                               const Env& env) const {
+    if (k == nullptr) return std::nullopt;
     KernelLaunch L;
     L.k = k;
     // Partition the non-acc arguments: rank-1 element inputs take LoadElem
@@ -1868,14 +1762,17 @@ public:
 
   // ---------------------------------------------------------------- scan ---
   //
-  // Same tiering as eval_reduce. The blocked three-phase structure is shared:
-  // phase 1 scans each chunk sequentially (seeded with the neutral element)
-  // and records its carry, phase 2 prefix-folds the carries, phase 3
-  // rescales every non-first chunk by its prefix. The kernel tier runs
-  // phases 1 and 3 through the compiled program (phase 1 is the full
-  // program on the strictly sequential scalar engine; phase 3 re-enters the
-  // fold subprogram per element), so fused scan-of-map never materializes
-  // the mapped intermediate either.
+  // Two tiers: the compiled scan kernel, then the general interpreter. There
+  // is no hand-binop tier as reduce has: plain + * min max scans compile to
+  // a kernel like any other fold, and with parallelism off that kernel folds
+  // sequentially from the neutral element. The kernel tier is blocked in
+  // three phases: phase 1 scans each chunk sequentially (seeded with the
+  // neutral element) and records its carry, phase 2 prefix-folds the
+  // carries, phase 3 rescales every non-first chunk by its prefix. Phases 1
+  // and 3 run through the compiled program (phase 1 is the full program on
+  // the strictly sequential scalar engine; phase 3 re-enters the fold
+  // subprogram per element), so fused scan-of-map never materializes the
+  // mapped intermediate either.
   std::vector<Value> eval_scan(const OpScan& o, Env& env) const {
     const Lambda& op = *o.op;
     std::vector<ArrayVal> arrs;
@@ -1901,64 +1798,7 @@ public:
         blocked ? std::min<int64_t>(threads, (n + opts_.grain - 1) / opts_.grain) : 1;
     const int64_t per = (n + chunks - 1) / chunks;
 
-    // Tier 1: hand-rolled blocked scan for a single rank-1 f64 array with a
-    // combinable operator. Every element of the output is written, so the
-    // launch buffer takes the uninitialized pooled-allocation path.
-    const std::optional<BinOp> plain_bop =
-        o.pre ? std::optional<BinOp>{} : recognize_binop(op);
-    if (plain_bop && combinable_f64(*plain_bop) && o.args.size() == 1 &&
-        arrs[0].rank() == 1 && arrs[0].elem == ScalarType::F64) {
-      stats_->hand_scans.fetch_add(1, std::memory_order_relaxed);
-      ArrayVal outv = alloc_launch_buf(ScalarType::F64, {n}, /*uninit=*/true);
-      const double* in = arrs[0].buf->f64() + arrs[0].offset;
-      double* out = outv.buf->f64();
-      const BinOp bop = *plain_bop;
-      if (blocked) {
-        std::vector<double> sums(static_cast<size_t>(chunks));
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            NPAD_FAULT_SITE("scan.hand_chunk", FaultKind::Chunk);
-            const int64_t lo = c * per, hi = std::min(n, lo + per);
-            if (lo >= hi) {  // empty trailing chunk (tiny grain): contribute ne
-              sums[static_cast<size_t>(c)] = as_f64(neutral[0]);
-              continue;
-            }
-            double acc = in[lo];
-            out[lo] = acc;
-            for (int64_t i = lo + 1; i < hi; ++i) {
-              acc = combine_f64(bop, acc, in[i]);
-              out[i] = acc;
-            }
-            sums[static_cast<size_t>(c)] = acc;
-          }
-        });
-        std::vector<double> pre(static_cast<size_t>(chunks));
-        double run = as_f64(neutral[0]);
-        for (int64_t c = 0; c < chunks; ++c) {
-          pre[static_cast<size_t>(c)] = run;
-          run = combine_f64(bop, run, sums[static_cast<size_t>(c)]);
-        }
-        support::parallel_for(chunks, 1, [&](int64_t clo, int64_t chi) {
-          for (int64_t c = clo; c < chi; ++c) {
-            if (c == 0) continue;
-            NPAD_FAULT_SITE("scan.hand_rescale", FaultKind::Chunk);
-            const int64_t lo = c * per, hi = std::min(n, lo + per);
-            const double p = pre[static_cast<size_t>(c)];
-            for (int64_t i = lo; i < hi; ++i) out[i] = combine_f64(bop, p, out[i]);
-          }
-        });
-      } else {
-        NPAD_FAULT_SITE("scan.hand_chunk", FaultKind::Chunk);
-        double acc = as_f64(neutral[0]);
-        for (int64_t i = 0; i < n; ++i) {
-          acc = combine_f64(bop, acc, in[i]);
-          out[i] = acc;
-        }
-      }
-      return {outv};
-    }
-
-    // Tier 2: compiled scan kernel (phase 1 + phase 3 on the register
+    // Tier 1: compiled scan kernel (phase 1 + phase 3 on the register
     // machine; strictly sequential per chunk — scans are order-dependent).
     bool rank1 = true;
     for (const auto& a : arrs) rank1 = rank1 && a.rank() == 1;
@@ -2004,7 +1844,7 @@ public:
       }
     }
 
-    // Tier 3: general sequential scan (redomap fallback applies the
+    // Tier 2: general sequential scan (redomap fallback applies the
     // pre-lambda per element). Output buffers are allocated from the first
     // computed accumulator — with a pre-lambda the result types need not
     // match the argument types — and are fully overwritten, so they take
@@ -2357,7 +2197,7 @@ std::vector<Value> Interp::run_resolved(const ResolvedProg& rp,
     // inside the run (not around it): an unwinding fault tears it down and
     // restores the pool footprint before the error reaches the caller.
     HoistRingGuard arena(/*enable=*/true, /*arena=*/true);
-    return ctx.eval_body_planned(rp.fn.body, *plans.top, env);
+    return ctx.eval_body(rp.fn.body, env, plans.top.get());
   }
   return ctx.eval_body(rp.fn.body, env);
 }

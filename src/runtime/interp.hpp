@@ -43,11 +43,11 @@ struct InterpOptions {
   bool parallel = true;         // use the thread pool for SOACs
   bool use_kernels = true;      // enable the kernel-compiled map fast path
   bool privatize_accs = true;   // per-worker accumulator buffers + merge
-  // Compiled execution plans (runtime/plan.hpp): route the top-level body
-  // and plannable OpLoop bodies through cached straight-line step schedules
-  // (pre-bound kernels, folded scalar glue, hoisted loop buffers) instead of
-  // per-statement eval dispatch. Requires use_kernels; anything
-  // non-plannable falls back to the general interpreter per statement.
+  // Compiled execution plans (runtime/plan.hpp): run the top-level body,
+  // plannable OpLoop bodies and OpIf arms, and applied lambda bodies from
+  // cached step schedules (pre-bound kernels, folded scalar glue, hoisted
+  // loop buffers, liveness releases). Requires use_kernels; anything
+  // non-plannable evaluates exactly as with plans off.
   // NPAD_USE_PLANS=0 disables the default.
   bool use_plans = default_use_plans();
   // Kernel lane width W: compiled maps execute in batches of W iterations
@@ -92,7 +92,6 @@ struct InterpStats {
   std::atomic<uint64_t> general_reduces{0};      // reduces run through the interpreter
   std::atomic<uint64_t> fused_reduces{0};        // producer maps folded into reduce launches
   std::atomic<uint64_t> kernel_scans{0};         // scans run through compiled kernels
-  std::atomic<uint64_t> hand_scans{0};           // scans run through the hand binop loop
   std::atomic<uint64_t> general_scans{0};        // scans run through the interpreter
   std::atomic<uint64_t> fused_scans{0};          // producer maps folded into scan launches
   std::atomic<uint64_t> flattened_maps{0};       // nested maps run as one collapsed launch
@@ -134,7 +133,6 @@ struct InterpStats {
         {"general_reduces", general_reduces.load()},
         {"fused_reduces", fused_reduces.load()},
         {"kernel_scans", kernel_scans.load()},
-        {"hand_scans", hand_scans.load()},
         {"general_scans", general_scans.load()},
         {"fused_scans", fused_scans.load()},
         {"flattened_maps", flattened_maps.load()},

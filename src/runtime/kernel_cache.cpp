@@ -13,132 +13,79 @@ KernelCache& KernelCache::global() {
 
 size_t KernelCache::size() const {
   std::shared_lock lk(mu_);
-  return by_sig_.size() + by_sig_red_.size();
+  return by_sig_.size();
 }
 
 const Kernel* KernelCache::get(const ir::LambdaPtr& f, bool* was_hit) {
+  return lookup(Form::Map, f, nullptr, was_hit);
+}
+
+const Kernel* KernelCache::get_reduce(const ir::LambdaPtr& op, const ir::LambdaPtr& pre,
+                                      bool scan, bool* was_hit) {
+  return lookup(scan ? Form::Scan : Form::Reduce, op, pre, was_hit);
+}
+
+const Kernel* KernelCache::lookup(Form form, const ir::LambdaPtr& op, const ir::LambdaPtr& pre,
+                                  bool* was_hit) {
+  const Key key{op.get(), pre.get(), form};
   {
     std::shared_lock lk(mu_);
-    auto it = by_ptr_.find(f.get());
+    auto it = by_ptr_.find(key);
     if (it != by_ptr_.end()) {
       if (was_hit) *was_hit = true;
       return it->second;
     }
   }
 
-  // Unknown pointer: try to alias a structurally identical entry.
-  std::vector<uint64_t> sig = ir::structural_sig(*f);
-  const uint64_t h = ir::structural_hash(sig);
-  {
-    std::unique_lock lk(mu_);
-    auto pit = by_ptr_.find(f.get());  // raced with another thread?
-    if (pit != by_ptr_.end()) {
-      if (was_hit) *was_hit = true;
-      return pit->second;
-    }
-    auto [lo, hi] = by_sig_.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second.sig == sig) {
-        const Kernel* k = kernel_of(it->second);
-        by_ptr_.emplace(f.get(), k);
-        pinned_.push_back(f);
-        if (was_hit) *was_hit = true;  // compilation was skipped
-        return k;
-      }
-    }
-  }
-
-  // Compile outside the lock; on a race the first insert wins.
-  auto compiled = std::make_unique<const std::optional<Kernel>>(compile_kernel(*f));
-  std::unique_lock lk(mu_);
-  auto pit = by_ptr_.find(f.get());
-  if (pit != by_ptr_.end()) {
-    if (was_hit) *was_hit = true;
-    return pit->second;
-  }
-  auto [lo, hi] = by_sig_.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.sig == sig) {
-      const Kernel* k = kernel_of(it->second);
-      by_ptr_.emplace(f.get(), k);
-      pinned_.push_back(f);
-      if (was_hit) *was_hit = true;
-      return k;
-    }
-  }
-  auto it = by_sig_.emplace(h, Entry{std::move(sig), f, nullptr, std::move(compiled)});
-  const Kernel* k = kernel_of(it->second);
-  by_ptr_.emplace(f.get(), k);
-  if (was_hit) *was_hit = false;
-  return k;
-}
-
-const Kernel* KernelCache::get_reduce(const ir::LambdaPtr& op, const ir::LambdaPtr& pre,
-                                      bool scan, bool* was_hit) {
-  const RedKey key{op.get(), pre.get(), scan};
-  {
-    std::shared_lock lk(mu_);
-    auto it = by_ptr_red_.find(key);
-    if (it != by_ptr_red_.end()) {
-      if (was_hit) *was_hit = true;
-      return it->second;
-    }
-  }
-
-  // Structural signature: form marker, fold op, then the pre-lambda when
-  // present (an absent pre is distinguished by the marker payload).
+  // Unknown pointers: try to alias a structurally identical entry. The
+  // signature is the form marker, the op, then the pre-lambda when present
+  // (an absent pre is distinguished by the marker payload).
   std::vector<uint64_t> sig;
-  sig.push_back(scan ? 0x7B00000000000000ull : 0x7A00000000000000ull);
+  sig.push_back(0x7900000000000000ull + static_cast<uint64_t>(form));
   ir::detail::SigBuilder b(sig);
   b.lambda(*op);
   sig.push_back(pre != nullptr);
   if (pre) b.lambda(*pre);
   const uint64_t h = ir::structural_hash(sig);
 
-  auto lookup_sig = [&]() -> std::optional<const Kernel*> {
-    auto [lo, hi] = by_sig_red_.equal_range(h);
+  // Under the exclusive lock: a pointer entry (raced with another thread)
+  // or a structural alias, pinned so its pointer key stays unambiguous.
+  auto known = [&]() -> std::optional<const Kernel*> {
+    auto pit = by_ptr_.find(key);
+    if (pit != by_ptr_.end()) return pit->second;
+    auto [lo, hi] = by_sig_.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
-      if (it->second.sig == sig) return kernel_of(it->second);
+      if (it->second.sig != sig) continue;
+      const Kernel* k = kernel_of(it->second);
+      by_ptr_.emplace(key, k);
+      pinned_.push_back(op);
+      if (pre) pinned_.push_back(pre);
+      return k;
     }
     return std::nullopt;
   };
   {
     std::unique_lock lk(mu_);
-    auto pit = by_ptr_red_.find(key);  // raced with another thread?
-    if (pit != by_ptr_red_.end()) {
-      if (was_hit) *was_hit = true;
-      return pit->second;
-    }
-    if (auto found = lookup_sig()) {
-      by_ptr_red_.emplace(key, *found);
-      pinned_.push_back(op);
-      if (pre) pinned_.push_back(pre);
+    if (auto k = known()) {
       if (was_hit) *was_hit = true;  // compilation was skipped
-      return *found;
+      return *k;
     }
   }
 
   // Compile outside the lock; on a race the first insert wins.
   auto compiled = std::make_unique<const std::optional<Kernel>>(
-      compile_reduce_kernel(*op, pre.get(), scan));
+      form == Form::Map ? compile_kernel(*op)
+                        : compile_reduce_kernel(*op, pre.get(), form == Form::Scan));
   std::unique_lock lk(mu_);
-  auto pit = by_ptr_red_.find(key);
-  if (pit != by_ptr_red_.end()) {
+  if (auto k = known()) {
     if (was_hit) *was_hit = true;
-    return pit->second;
+    return *k;
   }
-  if (auto found = lookup_sig()) {
-    by_ptr_red_.emplace(key, *found);
-    pinned_.push_back(op);
-    if (pre) pinned_.push_back(pre);
-    if (was_hit) *was_hit = true;
-    return *found;
-  }
-  auto it = by_sig_red_.emplace(h, Entry{std::move(sig), op, pre, std::move(compiled)});
-  const Kernel* kn = kernel_of(it->second);
-  by_ptr_red_.emplace(key, kn);
+  auto it = by_sig_.emplace(h, Entry{std::move(sig), op, pre, std::move(compiled)});
+  const Kernel* k = kernel_of(it->second);
+  by_ptr_.emplace(key, k);
   if (was_hit) *was_hit = false;
-  return kn;
+  return k;
 }
 
 } // namespace npad::rt

@@ -31,12 +31,12 @@ bool scalar_glue(const Stm& st) {
 std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans);
 
 // A plan worth routing through the planned evaluator: it either compiled
-// real structure (any non-General step) or its release lists reclaim frame
-// slots mid-body. All-General, release-free plans behave exactly like
+// real structure (a step with something attached) or its release lists
+// reclaim frame slots mid-body. Bare, release-free plans behave exactly like
 // eval_body and are not worth the indirection.
 bool plan_earns_keep(const Plan& plan) {
   for (const PlanStep& s : plan.steps) {
-    if (s.kind != PlanStep::Kind::General || !s.releases.empty()) return true;
+    if (s.scalars || s.kernel || s.loop_body || s.if_true || !s.releases.empty()) return true;
   }
   return false;
 }
@@ -49,7 +49,7 @@ void attach_releases(const ir::BodyLiveness& lv, size_t begin, size_t end, PlanS
 }
 
 // Folds stms [begin, end) — a run of >= 2 scalar-glue bindings — into one
-// extent-1 kernel step. Falls back to per-statement General steps when the
+// extent-1 kernel step. Falls back to one bare step per statement when the
 // kernel compiler rejects the synthetic lambda (it never should for the ops
 // scalar_glue admits, but plans must not be load-bearing for correctness).
 void add_scalar_run(const Body& body, const ir::BodyLiveness& lv, size_t begin, size_t end,
@@ -67,7 +67,6 @@ void add_scalar_run(const Body& body, const ir::BodyLiveness& lv, size_t begin, 
   if (!kopt || !kopt->accs.empty() || kopt->num_inputs != 0 || !kopt->free_arrays.empty()) {
     for (size_t i = begin; i < end; ++i) {
       PlanStep s;
-      s.kind = PlanStep::Kind::General;
       s.stm = static_cast<uint32_t>(i);
       attach_releases(lv, i, i + 1, s);
       plan.steps.push_back(std::move(s));
@@ -75,7 +74,6 @@ void add_scalar_run(const Body& body, const ir::BodyLiveness& lv, size_t begin, 
     return;
   }
   PlanStep s;
-  s.kind = PlanStep::Kind::Scalars;
   s.stm = static_cast<uint32_t>(begin);
   s.count = static_cast<uint32_t>(end - begin);
   s.scalars = std::make_shared<const Kernel>(std::move(*kopt));
@@ -85,6 +83,41 @@ void add_scalar_run(const Body& body, const ir::BodyLiveness& lv, size_t begin, 
   }
   attach_releases(lv, begin, end, s);
   plan.steps.push_back(std::move(s));
+}
+
+// Attaches what the plan pre-builds for one statement (see plan.hpp).
+void attach_prebuilt(const Exp& e, PlanStep& s, uint64_t* nplans) {
+  // Kernelizable rank-1 maps pre-resolve their kernel from the immortal
+  // process-wide cache; steady-state iterations skip the lookup entirely.
+  // A map whose lambda takes array rows (rank > 0 non-acc params) can never
+  // launch over rank-1 inputs, so it gets no kernel — no point re-attempting
+  // the kernel binding every iteration.
+  if (const auto* m = std::get_if<OpMap>(&e)) {
+    bool scalar_params = true;
+    for (const auto& p : m->f->params) {
+      if (!p.type.is_acc && p.type.rank != 0) scalar_params = false;
+    }
+    if (m->flat == FlatForm::None && scalar_params) s.kernel = KernelCache::global().get(m->f);
+  }
+  // For-loops with provably loop-invariant body extents get a nested plan
+  // and the hoisted loop-buffer ring. While-loops and data-dependent
+  // extents stay on the general evaluator.
+  if (const auto* lp = std::get_if<OpLoop>(&e)) {
+    if (!lp->while_cond && loop_extents_invariant(*lp)) {
+      s.loop_body = compile_body_plan(*lp->body, nplans);
+    }
+  }
+  // OpIf arms get nested plans run in the enclosing frame when at least
+  // one arm carries structure worth planning; trivial scalar ifs stay on
+  // the general evaluator (same results, less indirection).
+  if (const auto* br = std::get_if<OpIf>(&e)) {
+    auto tb = compile_body_plan(*br->tb, nplans);
+    auto fb = compile_body_plan(*br->fb, nplans);
+    if (plan_earns_keep(*tb) || plan_earns_keep(*fb)) {
+      s.if_true = std::move(tb);
+      s.if_false = std::move(fb);
+    }
+  }
 }
 
 std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans) {
@@ -103,66 +136,9 @@ std::unique_ptr<const Plan> compile_body_plan(const Body& body, uint64_t* nplans
         continue;
       }
     }
-    // Kernelizable rank-1 maps pre-resolve their kernel from the immortal
-    // process-wide cache; steady-state iterations skip the lookup entirely.
-    // A map whose lambda takes array rows (rank > 0 non-acc params) can never
-    // launch over rank-1 inputs, so it is statically General — no point
-    // re-attempting the kernel binding every iteration.
-    if (const auto* m = std::get_if<OpMap>(&stms[i].e)) {
-      bool scalar_params = true;
-      for (const auto& p : m->f->params) {
-        if (!p.type.is_acc && p.type.rank != 0) scalar_params = false;
-      }
-      if (m->flat == FlatForm::None && scalar_params) {
-        if (const Kernel* k = KernelCache::global().get(m->f)) {
-          PlanStep s;
-          s.kind = PlanStep::Kind::MapLaunch;
-          s.stm = static_cast<uint32_t>(i);
-          s.kernel = k;
-          attach_releases(lv, i, i + 1, s);
-          plan->steps.push_back(std::move(s));
-          ++i;
-          continue;
-        }
-      }
-    }
-    // For-loops with provably loop-invariant body extents get a nested plan
-    // and the hoisted loop-buffer ring. While-loops and data-dependent
-    // extents stay on the general evaluator.
-    if (const auto* lp = std::get_if<OpLoop>(&stms[i].e)) {
-      if (!lp->while_cond && loop_extents_invariant(*lp)) {
-        PlanStep s;
-        s.kind = PlanStep::Kind::Loop;
-        s.stm = static_cast<uint32_t>(i);
-        s.loop_body = compile_body_plan(*lp->body, nplans);
-        s.hoist_buffers = true;
-        attach_releases(lv, i, i + 1, s);
-        plan->steps.push_back(std::move(s));
-        ++i;
-        continue;
-      }
-    }
-    // OpIf arms get nested plans run in the enclosing frame when at least
-    // one arm carries structure worth planning; trivial scalar ifs stay on
-    // the general evaluator (same results, less indirection).
-    if (const auto* br = std::get_if<OpIf>(&stms[i].e)) {
-      auto tb = compile_body_plan(*br->tb, nplans);
-      auto fb = compile_body_plan(*br->fb, nplans);
-      if (plan_earns_keep(*tb) || plan_earns_keep(*fb)) {
-        PlanStep s;
-        s.kind = PlanStep::Kind::If;
-        s.stm = static_cast<uint32_t>(i);
-        s.if_true = std::move(tb);
-        s.if_false = std::move(fb);
-        attach_releases(lv, i, i + 1, s);
-        plan->steps.push_back(std::move(s));
-        ++i;
-        continue;
-      }
-    }
     PlanStep s;
-    s.kind = PlanStep::Kind::General;
     s.stm = static_cast<uint32_t>(i);
+    attach_prebuilt(stms[i].e, s, nplans);
     attach_releases(lv, i, i + 1, s);
     plan->steps.push_back(std::move(s));
     ++i;

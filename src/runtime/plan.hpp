@@ -4,37 +4,42 @@
 //
 // Between slot resolution (runtime/resolve.hpp) and evaluation, the plan
 // compiler lowers a resolved program's top-level body — and, transitively,
-// each plannable OpLoop body — ONCE into a straight-line schedule of steps:
+// each plannable OpLoop body and OpIf arm — ONCE into a straight-line
+// schedule with one step per statement, except that a run of >= 2
+// consecutive pure scalar bindings folds into a single *Scalars* step: an
+// extent-1 kernel program (runtime/kernel.hpp) executed allocation-free with
+// results written straight back to slots.
 //
-//   Scalars   a run of >= 2 consecutive pure scalar bindings folded into a
-//             single extent-1 kernel program (runtime/kernel.hpp) — executed
-//             allocation-free with results written straight back to slots;
-//   MapLaunch a kernelizable rank-1 OpMap with its kernel pre-bound from the
-//             process-wide KernelCache at plan time — steady-state loop
-//             iterations re-bind arguments but never re-derive the kernel;
-//   Loop      a for-loop whose body extents are provably loop-invariant
-//             (ir::loop_extents_invariant): the body gets its own nested
-//             plan, and the outermost planned loop installs a per-thread
-//             loop-buffer ring so launch scratch is acquired once and
-//             recycled across iterations (double-buffered across the carry)
-//             instead of round-tripping the global pool;
-//   If        an OpIf whose arms carry plannable structure: the condition is
-//             evaluated as a plan step and each arm gets its own nested plan
-//             running in the enclosing frame (if-arms are not activations),
-//             so planned regions no longer shatter at every branch;
-//   General   everything else — the step evaluates that one statement
-//             through the ordinary interpreter (eval_exp), preserving exact
-//             semantics for anything non-plannable (while loops,
-//             data-dependent extents, reduces/scans/hists, ...).
+// Every other step runs its statement through the ordinary evaluator
+// (exec_stm), with whatever the plan pre-built for it attached:
+//
+//   kernel     a kernelizable rank-1 OpMap's kernel, pre-bound from the
+//              process-wide KernelCache at plan time — steady-state loop
+//              iterations re-bind arguments but never re-derive the kernel;
+//   loop_body  a for-loop whose body extents are provably loop-invariant
+//              (ir::loop_extents_invariant): the body runs its own nested
+//              plan, and the outermost planned loop installs a per-thread
+//              loop-buffer ring so launch scratch is acquired once and
+//              recycled across iterations (double-buffered across the carry)
+//              instead of round-tripping the global pool;
+//   if_true/   an OpIf whose arms carry plannable structure: the taken arm
+//   if_false   runs its own nested plan in the enclosing frame (if-arms are
+//              not activations), so planned regions no longer shatter at
+//              every branch.
+//
+// A step with nothing attached evaluates its statement exactly as the
+// unplanned evaluator would (while loops, data-dependent extents,
+// reduces/scans/hists, ...). There is one code path per statement kind, so
+// planned and unplanned runs share error frames, fault sites and counters.
 //
 // Beyond the top-level body, plans are also compiled for every lambda body
 // the evaluator enters through EvalCtx::apply() (general-path map elements,
 // reduce/scan operators, withacc bodies, ...): ProgPlans carries an
 // immutable pointer-keyed table of lambda-body plans built eagerly alongside
 // the top-level plan, so apply() routes hot inner bodies through the same
-// compiled schedule. Only lambdas whose plan earns its keep (a non-General
-// step or a nonempty release list) are tabled; everything else stays on
-// plain eval_body.
+// compiled schedule. Only lambdas whose plan earns its keep (a step with
+// something attached, or a nonempty release list) are tabled; everything
+// else stays on plain eval_body.
 //
 // Each step additionally carries a *release list* (ir/liveness.hpp): the
 // variables bound by the planned body whose last use falls inside the step's
@@ -46,13 +51,15 @@
 // clearing a slot is unobservable to a correct program (liveness proves no
 // later read).
 //
-// Plans never change results: MapLaunch runs the identical kernel the
-// evaluator would pick, Scalars blocks compute the identical double-precision
-// values the scalar evaluator produces for the folded ops, and planned loops
-// execute iterations in the same order over the same frames — planned vs.
-// plan-disabled execution is bit-exact (tests/test_plan.cpp). If a step's
-// preconditions fail at runtime (an unexpected binding shape), it falls back
-// to the general evaluator for that statement.
+// Plans never change results: a pre-bound kernel is the identical kernel the
+// evaluator would look up, Scalars blocks compute the identical
+// double-precision values the scalar evaluator produces for the folded ops,
+// and planned loops execute iterations in the same order over the same
+// frames — planned vs. plan-disabled execution is bit-exact
+// (tests/test_plan.cpp). If a pre-bound kernel does not bind at runtime (an
+// unexpected binding shape), the map takes the evaluator's general path; a
+// Scalars block whose free variable is not scalar evaluates its statements
+// one by one.
 //
 // Plans are built once per resolved program, inside its ProgCache entry
 // (plans_of below), so they are immortal like the entry itself. Lambda keys
@@ -71,28 +78,26 @@ namespace npad::rt {
 struct Plan;
 
 struct PlanStep {
-  enum class Kind : uint8_t { General, Scalars, MapLaunch, Loop, If };
-
-  Kind kind = Kind::General;
   uint32_t stm = 0;    // index into the planned body's stms
   uint32_t count = 1;  // Scalars: number of statements folded
 
-  // Scalars: the extent-1 kernel program plus writeback slots. Free scalars
-  // are read from the environment in kernel free_scalars order; result j is
-  // converted with out_types[j] and bound to out_vars[j].
+  // Scalars (set exactly for a folded block): the extent-1 kernel program
+  // plus writeback slots. Free scalars are read from the environment in
+  // kernel free_scalars order; result j is converted with out_types[j] and
+  // bound to out_vars[j].
   std::shared_ptr<const Kernel> scalars;
   std::vector<ir::Var> out_vars;
   std::vector<ScalarType> out_types;
 
-  // MapLaunch: pinned by the process-wide kernel cache (immortal).
+  // OpMap: the pre-bound map kernel, pinned by the process-wide kernel
+  // cache (immortal).
   const Kernel* kernel = nullptr;
 
-  // Loop: the nested body plan. hoist_buffers records that extents are
-  // loop-invariant, enabling the loop-buffer ring.
+  // OpLoop: the nested body plan; its extents are loop-invariant, so the
+  // loop runs under the loop-buffer ring.
   std::unique_ptr<const Plan> loop_body;
-  bool hoist_buffers = false;
 
-  // If: per-arm nested plans, run in the enclosing frame.
+  // OpIf: per-arm nested plans, run in the enclosing frame.
   std::unique_ptr<const Plan> if_true, if_false;
 
   // Liveness release list (ir/liveness.hpp): vars bound by the planned body

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "apps/gmm.hpp"
@@ -31,6 +32,7 @@
 #include "opt/pipeline.hpp"
 #include "runtime/interp.hpp"
 #include "runtime/plan.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -477,6 +479,104 @@ TEST(ProgPlans, CompilesOncePerProgram) {
   second.run(p, args);
   EXPECT_EQ(second.stats().plans_compiled.load(), 0u)
       << "second run recompiled a cached plan";
+}
+
+// --------------------------------------------------------- error frames ---
+
+// The what() of an npad::Error thrown by running `p`; fails the test when
+// the run does not throw one.
+std::string error_of(const Interp& in, const Prog& p, const std::vector<Value>& args) {
+  try {
+    in.run(p, args);
+  } catch (const npad::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "run did not throw an npad::Error";
+  return {};
+}
+
+LambdaPtr scale_lam(Builder& b, double k) {
+  return b.lam({f64()}, [k](Builder& c, const std::vector<Var>& p) {
+    return std::vector<Atom>{Atom(c.mul(p[0], cf64(k)))};
+  });
+}
+
+// Planned statements run through the evaluator's own code, so an error
+// raised inside a planned loop, a planned if arm or a pre-bound map launch
+// carries exactly the frames of the plan-disabled run.
+TEST(PlanErrors, FramesMatchPlansOff) {
+  InterpOptions plans_off;
+  plans_off.use_plans = false;
+  npad::support::Rng rng(44);
+  const auto xs = make_f64_array(rng.uniform_vec(6, -1.0, 1.0), {6});
+
+  // (a) Iteration 3 of a planned for-loop indexes xs[2*i] = xs[6], one past
+  // the end; the carried map output recycles through the loop ring first.
+  {
+    ProgBuilder pb("loop_oob");
+    Var v = pb.param("xs", arr_f64(1));
+    Builder& b = pb.body();
+    auto outs = b.loop_for(
+        {Atom(v), Atom(cf64(0.0))}, Atom(ci64(5)),
+        [&](Builder& lb, Var i, const std::vector<Var>& st) {
+          Var next = lb.map1(scale_lam(lb, 0.5), {st[0]});
+          Var e = lb.index(v, {Atom(lb.mul(i, ci64(2)))});
+          return std::vector<Atom>{Atom(next), Atom(lb.add(st[1], e))};
+        });
+    Prog p = pb.finish({Atom(outs[0]), Atom(outs[1])});
+    typecheck(p);
+    Interp planned{plans_on()};
+    const std::string w = error_of(planned, p, {xs});
+    EXPECT_EQ(w, error_of(Interp{plans_off}, p, {xs}));
+    EXPECT_NE(w.find("in loop iteration 3 of 5"), std::string::npos) << w;
+    EXPECT_GT(planned.stats().plan_hoisted_buffers.load(), 0u);
+  }
+
+  // (b) The taken arm of an if whose arms hold kernel maps indexes out of
+  // bounds.
+  {
+    ProgBuilder pb("if_oob");
+    Var x = pb.param("x", f64());
+    Var v = pb.param("xs", arr_f64(1));
+    Builder& b = pb.body();
+    std::vector<Var> picked = b.if_(
+        Atom(b.gt(x, cf64(0.0))),
+        [&](Builder& tb) {
+          Var m = tb.map1(scale_lam(tb, 2.0), {v});
+          return std::vector<Atom>{Atom(tb.index(m, {Atom(ci64(9))}))};
+        },
+        [&](Builder& eb) {
+          Var m = eb.map1(scale_lam(eb, 3.0), {v});
+          return std::vector<Atom>{Atom(eb.index(m, {Atom(ci64(0))}))};
+        });
+    Prog p = pb.finish({Atom(picked[0])});
+    typecheck(p);
+    Interp planned{plans_on()};
+    const std::string w = error_of(planned, p, {Value(0.5), xs});
+    EXPECT_EQ(w, error_of(Interp{plans_off}, p, {Value(0.5), xs}));
+    EXPECT_NE(w.find("in if binding"), std::string::npos) << w;
+    EXPECT_EQ(planned.stats().plan_if_arms.load(), 1u);
+  }
+
+  // (c) A top-level kernel map over inputs of lengths 4 and 3.
+  {
+    ProgBuilder pb("map_len");
+    Var a = pb.param("as", arr_f64(1));
+    Var c = pb.param("cs", arr_f64(1));
+    Builder& b = pb.body();
+    Var m = b.map1(b.lam({f64(), f64()},
+                         [](Builder& cc, const std::vector<Var>& p) {
+                           return std::vector<Atom>{Atom(cc.mul(p[0], p[1]))};
+                         }),
+                   {a, c});
+    Prog p = pb.finish({Atom(m)});
+    typecheck(p);
+    const std::vector<Value> args = {make_f64_array(rng.uniform_vec(4, -1.0, 1.0), {4}),
+                                     make_f64_array(rng.uniform_vec(3, -1.0, 1.0), {3})};
+    const std::string w = error_of(Interp{plans_on()}, p, args);
+    EXPECT_EQ(w, error_of(Interp{plans_off}, p, args));
+    EXPECT_NE(w.find("map arguments of unequal length"), std::string::npos) << w;
+  }
 }
 
 } // namespace

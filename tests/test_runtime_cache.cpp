@@ -168,6 +168,44 @@ TEST(KernelCache, NestedMapsKeepKernelsAlive) {
   EXPECT_DOUBLE_EQ(out.get_f64(1), (16.0 + 25.0 + 36.0) * 2.0);
 }
 
+// One cache lookup serves every kernel form: the map kernel of a lambda and
+// the reduce and scan kernels of the same lambda as a fold operator are
+// three distinct entries, and a structurally identical lambda aliases all
+// three without compiling anything.
+TEST(KernelCache, FormsOfOneLambdaStayDistinct) {
+  auto fma_lam = [](Builder& b) {
+    return b.lam({f64(), f64()}, [](Builder& c, const std::vector<Var>& p) {
+      return std::vector<Atom>{Atom(c.add(c.mul(p[0], p[1]), cf64(0.125)))};
+    });
+  };
+  ProgBuilder pb("forms");
+  Builder& b = pb.body();
+  const LambdaPtr f = fma_lam(b);
+  const LambdaPtr g = fma_lam(b);  // a second, structurally identical lambda
+
+  KernelCache& kc = KernelCache::global();
+  const size_t before = kc.size();
+  const Kernel* map_k = kc.get(f);
+  const Kernel* red_k = kc.get_reduce(f, nullptr, /*scan=*/false);
+  const Kernel* scan_k = kc.get_reduce(f, nullptr, /*scan=*/true);
+  ASSERT_NE(map_k, nullptr);
+  ASSERT_NE(red_k, nullptr);
+  ASSERT_NE(scan_k, nullptr);
+  EXPECT_NE(map_k, red_k);
+  EXPECT_NE(map_k, scan_k);
+  EXPECT_NE(red_k, scan_k);
+  EXPECT_EQ(kc.size(), before + 3);
+
+  bool hit = false;
+  EXPECT_EQ(kc.get(g, &hit), map_k);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(kc.get_reduce(g, nullptr, /*scan=*/false, &hit), red_k);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(kc.get_reduce(g, nullptr, /*scan=*/true, &hit), scan_k);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(kc.size(), before + 3);
+}
+
 // f(xs, is) = sum_j xs[is_j]^2; its vjp accumulates 2*xs[i]*seed into the
 // xs adjoint through an accumulator — the contended-histogram pattern.
 Prog gather_sq_prog() {
