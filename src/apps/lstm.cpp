@@ -41,8 +41,7 @@ ir::Prog lstm_ir_objective() {
                             (void)p;
                             Var ih = c.iota(Atom(h));
                             Var z = c.map1(c.lam({i64()},
-                                                 [](Builder& cc, const std::vector<Var>& q) {
-                                                   (void)q;
+                                                 [](Builder&, const std::vector<Var>&) {
                                                    return std::vector<Atom>{cf64(0.0)};
                                                  }),
                                            {ih});

@@ -9,8 +9,17 @@
 // by shared_ptr<const ...> so program transformations can share untouched
 // subtrees. Re-binding a variable id in a nested scope is shadowing, exactly
 // as the paper treats re-definitions.
+//
+// Equality is shallow: operator== compares a struct's own fields and
+// compares nested bodies and lambdas by pointer, not by contents, so
+// comparing two functions costs one pass over their top-level statements.
+// Two independently built but identical lambdas compare unequal; a copy of
+// a statement compares equal to its original because it shares the nested
+// nodes. The runtime-only activation ids are left out. runtime/resolve.cpp
+// uses this to confirm that a program it has seen before is unchanged.
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -65,7 +74,12 @@ struct ConstVal {
   static ConstVal of_f64(double v) { return {ScalarType::F64, v, 0}; }
   static ConstVal of_i64(int64_t v) { return {ScalarType::I64, 0.0, v}; }
   static ConstVal of_bool(bool v) { return {ScalarType::Bool, 0.0, v ? 1 : 0}; }
-  bool operator==(const ConstVal&) const = default;
+  // The F64 payload compares as a value with its sign: 0.0 and -0.0 differ
+  // (they can give different results), and a NaN equals nothing, so a
+  // program holding one never matches, even itself.
+  bool operator==(const ConstVal& o) const {
+    return t == o.t && i == o.i && f == o.f && std::signbit(f) == std::signbit(o.f);
+  }
 };
 
 struct Atom {
@@ -112,31 +126,99 @@ using LambdaPtr = std::shared_ptr<const Lambda>;
 struct Param {
   Var var;
   Type type;
+  bool operator==(const Param&) const = default;
 };
 
 // --- scalar / simple statements ---
-struct OpAtom { Atom a; };                                    // copy / rename
-struct OpBin { BinOp op; Atom a, b; };
-struct OpUn { UnOp op; Atom a; };
-struct OpSelect { Atom c, t, f; };                            // scalar select
+struct OpAtom {  // copy / rename
+  Atom a;
+  bool operator==(const OpAtom&) const = default;
+};
+struct OpBin {
+  BinOp op;
+  Atom a, b;
+  bool operator==(const OpBin&) const = default;
+};
+struct OpUn {
+  UnOp op;
+  Atom a;
+  bool operator==(const OpUn&) const = default;
+};
+struct OpSelect {  // scalar select
+  Atom c, t, f;
+  bool operator==(const OpSelect&) const = default;
+};
 
 // --- array access ---
-struct OpIndex { Var arr; std::vector<Atom> idx; };           // prefix indexing
-struct OpUpdate { Var arr; std::vector<Atom> idx; Atom v; };  // in-place write (consumes arr)
-struct OpUpdAcc { Var acc; std::vector<Atom> idx; Atom v; };  // acc[idx] += v; returns acc
+struct OpIndex {  // prefix indexing
+  Var arr;
+  std::vector<Atom> idx;
+  bool operator==(const OpIndex&) const = default;
+};
+struct OpUpdate {  // in-place write (consumes arr)
+  Var arr;
+  std::vector<Atom> idx;
+  Atom v;
+  bool operator==(const OpUpdate&) const = default;
+};
+struct OpUpdAcc {  // acc[idx] += v; returns acc
+  Var acc;
+  std::vector<Atom> idx;
+  Atom v;
+  bool operator==(const OpUpdAcc&) const = default;
+};
 
 // --- array construction / shape ---
-struct OpIota { Atom n; };                                    // [0..n-1] : i64
-struct OpReplicate { Atom n; Atom v; };                       // n copies of v
-struct OpZerosLike { Var v; };                                // zeros, same shape as v
-struct OpScratch { Atom n; Var like; };                       // uninit [n] ++ shape(like)
-struct OpLength { Var arr; };                                 // outer extent : i64
-struct OpReverse { Var arr; };
-struct OpTranspose { Var arr; };                              // swap dims 0 and 1
-struct OpCopy { Var v; };                                     // deep copy
+struct OpIota {  // [0..n-1] : i64
+  Atom n;
+  bool operator==(const OpIota&) const = default;
+};
+struct OpReplicate {  // n copies of v
+  Atom n;
+  Atom v;
+  bool operator==(const OpReplicate&) const = default;
+};
+struct OpZerosLike {  // zeros, same shape as v
+  Var v;
+  bool operator==(const OpZerosLike&) const = default;
+};
+struct OpScratch {  // uninit [n] ++ shape(like)
+  Atom n;
+  Var like;
+  bool operator==(const OpScratch&) const = default;
+};
+struct OpLength {  // outer extent : i64
+  Var arr;
+  bool operator==(const OpLength&) const = default;
+};
+struct OpReverse {
+  Var arr;
+  bool operator==(const OpReverse&) const = default;
+};
+struct OpTranspose {  // swap dims 0 and 1
+  Var arr;
+  bool operator==(const OpTranspose&) const = default;
+};
+struct OpCopy {  // deep copy
+  Var v;
+  bool operator==(const OpCopy&) const = default;
+};
 
 // --- control flow ---
-struct OpIf { Atom c; BodyPtr tb, fb; };
+struct OpIf {
+  Atom c;
+  BodyPtr tb, fb;
+  bool operator==(const OpIf&) const = default;
+};
+
+// Runtime annotation of loops and lambdas: index into the owning
+// ResolvedProg's activation table (runtime/resolve.hpp). Written once during
+// slot resolution on a privately owned clone; never meaningful on user-built
+// programs, so equality ignores it.
+struct ActivationId {
+  uint32_t v = UINT32_MAX;
+  bool operator==(const ActivationId&) const { return true; }
+};
 
 // A sequential loop with loop-variant parameters (tail-recursive semantics,
 // Section 2.1). When `while_cond` is set the loop is a while-loop over the
@@ -154,10 +236,8 @@ struct OpLoop {
   bool checkpoint_entry = false;        // §6.2: no-false-deps annotation
   std::optional<Atom> while_bound;      // §6.2: user iteration bound for while
 
-  // Runtime annotation: index into the owning ResolvedProg's activation table
-  // (runtime/resolve.hpp). Written once during slot resolution on a privately
-  // owned clone; never meaningful on user-built programs.
-  mutable uint32_t activation_id = UINT32_MAX;
+  mutable ActivationId activation_id;
+  bool operator==(const OpLoop&) const = default;
 };
 
 // --- SOACs ---
@@ -196,6 +276,7 @@ struct OpMap {
   // the lambda of a fused consumer (the body shape changed; opt/flatten.cpp
   // runs after fusion in the pipeline and re-derives it).
   FlatForm flat = FlatForm::None;
+  bool operator==(const OpMap&) const = default;
 };
 // reduce/scan op ne xs1..xsk, optionally in *redomap* form: when `pre` is
 // set the element-wise pre-lambda maps the elements of `args` (its params
@@ -215,6 +296,7 @@ struct OpReduce {
   std::vector<Var> args;
   LambdaPtr pre;      // optional redomap pre-lambda
   uint32_t fused = 0;
+  bool operator==(const OpReduce&) const = default;
 };
 struct OpScan {
   LambdaPtr op;
@@ -222,6 +304,7 @@ struct OpScan {
   std::vector<Var> args;
   LambdaPtr pre;      // optional redomap pre-lambda
   uint32_t fused = 0;
+  bool operator==(const OpScan&) const = default;
 };
 // reduce_by_index dest op ne inds vals (§5.1.2); out-of-range bins ignored.
 // Optionally in *histomap* form, mirroring the redomap form of OpReduce:
@@ -241,12 +324,22 @@ struct OpHist {
   Var vals;
   LambdaPtr pre;      // optional histomap pre-lambda
   uint32_t fused = 0;
+  bool operator==(const OpHist&) const = default;
 };
 // scatter dest inds vals (§5.3); duplicate indices unsupported (as paper).
-struct OpScatter { Var dest; Var inds; Var vals; };
+struct OpScatter {
+  Var dest;
+  Var inds;
+  Var vals;
+  bool operator==(const OpScatter&) const = default;
+};
 // withacc arrs f: temporarily turns arrs into write-only accumulators (§5.4).
 // f receives one acc per array and must return them (plus optional extras).
-struct OpWithAcc { std::vector<Var> arrs; LambdaPtr f; };
+struct OpWithAcc {
+  std::vector<Var> arrs;
+  LambdaPtr f;
+  bool operator==(const OpWithAcc&) const = default;
+};
 
 using Exp = std::variant<
     OpAtom, OpBin, OpUn, OpSelect,
@@ -261,6 +354,7 @@ struct Stm {
   std::vector<Var> vars;
   std::vector<Type> types;
   Exp e;
+  bool operator==(const Stm&) const = default;
 };
 
 inline Stm stm1(Var v, Type t, Exp e) { return Stm{{v}, {t}, std::move(e)}; }
@@ -268,6 +362,7 @@ inline Stm stm1(Var v, Type t, Exp e) { return Stm{{v}, {t}, std::move(e)}; }
 struct Body {
   std::vector<Stm> stms;
   std::vector<Atom> result;
+  bool operator==(const Body&) const = default;
 };
 
 struct Lambda {
@@ -275,8 +370,7 @@ struct Lambda {
   Body body;
   std::vector<Type> rets;
 
-  // Runtime annotation (see OpLoop::activation_id).
-  mutable uint32_t activation_id = UINT32_MAX;
+  mutable ActivationId activation_id;  // runtime annotation (see ActivationId)
 };
 
 struct Function {
@@ -284,6 +378,7 @@ struct Function {
   std::vector<Param> params;
   std::vector<Type> rets;
   Body body;
+  bool operator==(const Function&) const = default;
 };
 
 // ---------------------------------------------------------------- module ---

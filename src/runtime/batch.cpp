@@ -219,8 +219,8 @@ std::vector<std::vector<Value>> Interp::run_batched(
   if (batch.empty()) return {};
   if (batch.size() == 1) return {run(p, batch[0])};
 
-  // One structural lookup: the batched form lives in the original's entry.
-  std::shared_ptr<const ResolvedProg> rp = ProgCache::global().get(p);
+  // One lookup: the batched form lives in the original's entry.
+  std::shared_ptr<const ResolvedProg> rp = lookup(p);
   const ResolvedProg& bp = rp->batched.get([&] {
     return resolve_prog(make_batched_prog(ir::Prog{rp->mod, rp->fn}));
   });

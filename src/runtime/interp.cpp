@@ -390,7 +390,7 @@ public:
   std::vector<Value> apply(const Lambda& f, std::vector<Value> args, const Env& captured) const {
     assert(args.size() == f.params.size());
     EvalDepthGuard depth_guard(opts_.max_eval_depth);
-    Env env(captured, f.activation_id);
+    Env env(captured, f.activation_id.v);
     for (size_t i = 0; i < args.size(); ++i) env.bind(f.params[i].var, std::move(args[i]));
     if (lambda_plans_ != nullptr) {
       auto it = lambda_plans_->find(&f);
@@ -848,7 +848,7 @@ public:
       for (int64_t i = 0;; ++i) {
         std::vector<Value> c = apply(*o.while_cond, state, env);
         if (!as_bool(c[0])) break;
-        Env it_env(env, o.activation_id);
+        Env it_env(env, o.activation_id.v);
         for (size_t k = 0; k < o.params.size(); ++k)
           it_env.bind(o.params[k].var, std::move(state[k]));
         try {
@@ -865,7 +865,7 @@ public:
     if (n <= 0) return state;
     HoistRingGuard ring(planned);
     HoistedLoopScope hoisted(planned);
-    Env it_env(env, o.activation_id);
+    Env it_env(env, o.activation_id.v);
     for (int64_t i = 0; i < n; ++i) {
       if (o.idx.valid()) it_env.bind(o.idx, i);
       for (size_t k = 0; k < o.params.size(); ++k)
@@ -2171,11 +2171,18 @@ void Interp::check_arg_count(const ir::Function& fn, size_t nargs) {
   }
 }
 
+std::shared_ptr<const ResolvedProg> Interp::lookup(const ir::Prog& p) const {
+  bool hashed = false;
+  auto rp = ProgCache::global().get(p, &hashed);
+  if (hashed) stats_.prog_hashes.fetch_add(1, std::memory_order_relaxed);
+  return rp;
+}
+
 std::vector<Value> Interp::run(const ir::Prog& p, const std::vector<Value>& args) const {
   check_arg_count(p.fn, args.size());
   // Slot-resolve (cached process-wide): the interpreter evaluates the
   // alpha-renamed clone, whose variables index flat frames.
-  return run_resolved(*ProgCache::global().get(p), args);
+  return run_resolved(*lookup(p), args);
 }
 
 std::vector<Value> Interp::run_resolved(const ResolvedProg& rp,

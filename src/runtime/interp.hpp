@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,7 @@ struct InterpStats {
   std::atomic<uint64_t> vexec_superinstrs{0};    // fused superinstrs in programs bound to launches
   std::atomic<uint64_t> batched_prog_runs{0};    // stacked multi-request runs (run_batched, B>1)
   std::atomic<uint64_t> batched_prog_requests{0};// requests entering run_batched (any B)
+  std::atomic<uint64_t> prog_hashes{0};          // program lookups that computed a structural signature
 
   // Snapshot for machine-readable reporting (bench JSON).
   std::map<std::string, uint64_t> counters() const {
@@ -154,6 +156,7 @@ struct InterpStats {
         {"vexec_superinstrs", vexec_superinstrs.load()},
         {"batched_prog_runs", batched_prog_runs.load()},
         {"batched_prog_requests", batched_prog_requests.load()},
+        {"prog_hashes", prog_hashes.load()},
     };
   }
 };
@@ -182,8 +185,11 @@ private:
   friend class EvalCtx;
   // Throws npad::TypeError unless `nargs` matches the arity of `fn`.
   static void check_arg_count(const ir::Function& fn, size_t nargs);
-  // Evaluates a ProgCache entry (runtime/resolve.hpp) on `args`; shared by
-  // run() and run_batched(), which each look up their entry once.
+  // The ProgCache entry (runtime/resolve.hpp) of `p`; counts a lookup that
+  // computed a structural signature in prog_hashes.
+  std::shared_ptr<const ResolvedProg> lookup(const ir::Prog& p) const;
+  // Evaluates a ProgCache entry on `args`; shared by run() and
+  // run_batched(), which each look up their entry once.
   std::vector<Value> run_resolved(const ResolvedProg& rp, const std::vector<Value>& args) const;
 
   InterpOptions opts_;

@@ -1,5 +1,6 @@
 #include "runtime/resolve.hpp"
 
+#include <array>
 #include <cassert>
 #include <mutex>
 
@@ -55,7 +56,7 @@ private:
   }
 
   void lambda(const Lambda& l) {
-    l.activation_id = push_activation();
+    l.activation_id.v = push_activation();
     for (const auto& p : l.params) bind(p.var);
     body(l.body);
     pop_activation();
@@ -76,7 +77,7 @@ private:
                    },
                    [&](const OpLoop& o) {
                      if (o.while_cond) lambda(*o.while_cond);
-                     o.activation_id = push_activation();
+                     o.activation_id.v = push_activation();
                      for (const auto& p : o.params) bind(p.var);
                      if (o.idx.valid()) bind(o.idx);
                      body(*o.body);
@@ -135,7 +136,53 @@ size_t ProgCache::size() const {
   return by_sig_.size();
 }
 
-std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p) {
+namespace {
+
+// The hit path of ProgCache::get (resolve.hpp): the last few programs this
+// thread looked up, each with a shallow copy of its function then. The copy
+// keeps the program's nested nodes alive, which is what makes comparing
+// them by pointer sound.
+struct MemoEntry {
+  const ir::Prog* prog = nullptr;
+  ir::Function fn;
+  std::shared_ptr<const ResolvedProg> rp;
+};
+
+// Sized to hold a serving worker's whole working set: the built-in registry
+// (serve/registry.cpp) serves 6 programs in 2 modes, 12 Prog objects. The
+// perfbench serve_open open loop sends 9 of them through each of its 2
+// batcher workers: with 8 entries it still hashed on 0.010-0.017 of its
+// requests (round-robin eviction), with 16 on none of them.
+constexpr size_t kMemoEntries = 16;
+
+struct Memo {
+  std::array<MemoEntry, kMemoEntries> entries;
+  size_t next = 0;  // round-robin victim when no entry has the address
+};
+
+thread_local Memo memo;
+
+} // namespace
+
+std::shared_ptr<const ResolvedProg> ProgCache::get(const ir::Prog& p, bool* hashed) {
+  MemoEntry* slot = nullptr;
+  for (MemoEntry& e : memo.entries) {
+    if (e.prog != &p) continue;
+    if (e.fn == p.fn) {
+      if (hashed) *hashed = false;
+      return e.rp;
+    }
+    slot = &e;  // the program at this address changed: refresh its entry
+    break;
+  }
+  auto rp = get_structural(p);
+  if (hashed) *hashed = true;
+  if (!slot) slot = &memo.entries[memo.next++ % kMemoEntries];
+  *slot = MemoEntry{&p, p.fn, rp};
+  return rp;
+}
+
+std::shared_ptr<const ResolvedProg> ProgCache::get_structural(const ir::Prog& p) {
   std::vector<uint64_t> sig = ir::structural_sig(p.fn);
   const uint64_t h = ir::structural_hash(sig);
   {

@@ -13,6 +13,19 @@
 // record of its compiled program: the execution plans (runtime/plan.hpp) and
 // the batched serving form (runtime/batch.hpp) are built inside it on first
 // use and share its lifetime.
+//
+// Computing the structural signature walks the whole program, which costs
+// as much as running a small one. So a lookup first tries a per-thread,
+// lock-free memo keyed by the Prog's address, holding the last 16 programs
+// the thread looked up, each with a copy of the function it had then. A hit
+// needs the function to equal that copy under the IR's shallow equality
+// (ir/ast.hpp): top-level params, rets and statements field by field, nested
+// bodies and lambdas by pointer. Comparing pointers is sound because the IR
+// holds nested nodes as shared_ptr<const>: they cannot change in place, and
+// the memo's copy keeps the old nodes alive, so a new node can never reuse
+// an old node's address. A program edited at the top level, or a different
+// program assigned to the same variable, misses and takes the structural
+// path, which still lets structurally identical programs share one entry.
 
 #include <atomic>
 #include <memory>
@@ -79,18 +92,24 @@ struct ResolvedProg {
 // Alpha-renames `p` into a private module copy and computes the slot table.
 std::shared_ptr<const ResolvedProg> resolve_prog(const ir::Prog& p);
 
-// Process-wide immortal cache of resolved programs.
+// Process-wide immortal cache of resolved programs; global() is the one
+// instance (the per-thread memo in resolve.cpp serves only it).
 class ProgCache {
 public:
   static ProgCache& global();
 
   // Returns the resolved form of `p`, resolving on first sight. Structurally
-  // identical programs share one entry.
-  std::shared_ptr<const ResolvedProg> get(const ir::Prog& p);
+  // identical programs share one entry. A repeat lookup of the same,
+  // unchanged Prog object on the same thread computes no signature; `hashed`,
+  // if given, is set to whether this lookup computed one.
+  std::shared_ptr<const ResolvedProg> get(const ir::Prog& p, bool* hashed = nullptr);
 
   size_t size() const;
 
 private:
+  ProgCache() = default;
+  std::shared_ptr<const ResolvedProg> get_structural(const ir::Prog& p);
+
   struct Entry {
     std::vector<uint64_t> sig;
     std::shared_ptr<const ResolvedProg> rp;

@@ -1,7 +1,11 @@
 // Unit tests for the IR substrate: builder, printer, free-variable analysis,
-// lambda inlining, pattern recognition and the type checker.
+// lambda inlining, pattern recognition, the type checker and the shallow
+// equality of IR nodes.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "ir/analysis.hpp"
 #include "ir/builder.hpp"
@@ -9,6 +13,7 @@
 #include "ir/print.hpp"
 #include "ir/typecheck.hpp"
 #include "ir/visit.hpp"
+#include "runtime/interp.hpp"
 
 namespace {
 
@@ -200,6 +205,95 @@ TEST(Ir, WithAccTypecheck) {
   });
   Prog p = pb.finish({Atom(outs[0])});
   EXPECT_NO_THROW(typecheck(p));
+}
+
+// ------------------------------------------------------ shallow equality ---
+
+// xs -> map (\x -> x * k) xs, for a map body that closes over one constant.
+Prog make_scale_prog(double k) {
+  ProgBuilder pb("scale");
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var ys = b.map1(b.lam({f64()},
+                        [&](Builder& c, const std::vector<Var>& p) {
+                          return std::vector<Atom>{Atom(c.mul(p[0], cf64(k)))};
+                        }),
+                  {xs});
+  return pb.finish({Atom(ys)});
+}
+
+TEST(IrEquality, CopiesCompareEqual) {
+  const Prog p = make_scale_prog(2.5);
+  const Function copy = p.fn;
+  EXPECT_TRUE(copy == p.fn);
+  EXPECT_TRUE(copy.body.stms[0] == p.fn.body.stms[0]);
+
+  Function renamed = p.fn;
+  renamed.name = "other";
+  EXPECT_FALSE(renamed == p.fn);
+  Function edited = p.fn;
+  edited.body.result = {cf64(1.0)};
+  EXPECT_FALSE(edited == p.fn);
+}
+
+// Nested lambdas compare by pointer: two separate builds of one program are
+// structurally identical but unequal, and swapping a copy's lambda for its
+// twin from the other build makes the copy unequal to its original.
+TEST(IrEquality, IdenticalNestedLambdaBuiltSeparatelyComparesUnequal) {
+  const Prog a = make_scale_prog(2.5);
+  const Prog b = make_scale_prog(2.5);
+  EXPECT_EQ(structural_sig(a.fn), structural_sig(b.fn));
+  EXPECT_FALSE(a.fn == b.fn);
+
+  Function swapped = a.fn;
+  std::get<OpMap>(swapped.body.stms[0].e).f = std::get<OpMap>(b.fn.body.stms[0].e).f;
+  EXPECT_FALSE(swapped == a.fn);
+}
+
+TEST(IrEquality, ActivationIdIsIgnored) {
+  ProgBuilder pb("lp");
+  Var x0 = pb.param("x0", f64());
+  Var n = pb.param("n", i64());
+  Builder& b = pb.body();
+  auto outs = b.loop_for({Atom(x0)}, Atom(n), [](Builder& c, Var, const std::vector<Var>& ps) {
+    return std::vector<Atom>{Atom(c.mul(ps[0], cf64(1.5)))};
+  });
+  const Prog p = pb.finish({Atom(outs[0])});
+  const auto* loop = std::get_if<OpLoop>(&p.fn.body.stms.back().e);
+  ASSERT_NE(loop, nullptr);
+
+  OpLoop annotated = *loop;
+  annotated.activation_id.v = 7;
+  EXPECT_TRUE(annotated == *loop);
+  OpLoop stripmined = *loop;
+  stripmined.stripmine = 4;
+  EXPECT_FALSE(stripmined == *loop);
+}
+
+// A NaN constant equals nothing, itself included, so a program holding one
+// at the top level never matches its own copy; it must still run, through
+// the structural lookup every time. Signed zeros are told apart.
+TEST(IrEquality, NanConstantComparesUnequalAndStillRuns) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(cf64(nan) == cf64(nan));
+  EXPECT_FALSE(cf64(0.0) == cf64(-0.0));
+  EXPECT_TRUE(cf64(1.5) == cf64(1.5));
+  EXPECT_TRUE(ci64(3) == ci64(3));
+
+  ProgBuilder pb("nan_or_double");  // x < 0 ? NaN : 2x
+  Var x = pb.param("x", f64());
+  Builder& b = pb.body();
+  Var r = b.select(Atom(b.lt(x, cf64(0.0))), cf64(nan), Atom(b.mul(x, cf64(2.0))));
+  const Prog p = pb.finish({Atom(r)});
+  typecheck(p);
+  EXPECT_FALSE(p.fn == p.fn);
+
+  npad::rt::Interp in;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::isnan(npad::rt::as_f64(in.run(p, {-1.0})[0])));
+    EXPECT_EQ(npad::rt::as_f64(in.run(p, {1.5})[0]), 3.0);
+  }
+  EXPECT_EQ(in.stats().prog_hashes.load(), 6u);
 }
 
 } // namespace

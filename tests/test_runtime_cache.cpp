@@ -1,12 +1,15 @@
 // Tests for the runtime hot-path machinery: the process-wide kernel cache
 // (structural-hash keying, free-scalar rebinding, nested-map lifetime), the
-// program cache entries (shared resolution, plans and batched forms), the
+// program cache entries (shared resolution, plans and batched forms, the
+// per-thread memo that spares repeat lookups the structural hash), the
 // privatized-accumulator launches, and the slot-resolved environments
 // (shadowing, nested scopes, loop frame reuse).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "core/ad.hpp"
 #include "ir/builder.hpp"
@@ -270,6 +273,169 @@ TEST(PrivatizedAccumulators, EmptyMapThreadsAccumulatorThrough) {
   const ArrayVal& g = as_array(r[1]);
   ASSERT_EQ(g.elems(), 3);
   for (int64_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(g.get_f64(i), 0.0);
+}
+
+// ------------------------------------------------- repeat-lookup memo ---
+
+// Lookups of one unchanged Prog object hash it once per thread: runs and
+// stacked runs alike find its entry through the memo.
+TEST(ProgCache, RepeatedRunsOfOneProgHashOnce) {
+  const Prog p = scaled_map_prog();  // a fresh lambda: the memo cannot know it
+  typecheck(p);
+  ArrayVal xs = make_f64_array({0.5, 1.5}, {2});
+  InterpOptions seq;
+  seq.parallel = false;
+  Interp in(seq);
+  for (int i = 0; i < 5; ++i) in.run(p, {static_cast<double>(i), xs});
+  for (int i = 0; i < 2; ++i) in.run_batched(p, {{1.0, xs}, {2.0, xs}, {3.0, xs}});
+  EXPECT_EQ(in.stats().prog_hashes.load(), 1u);
+  EXPECT_EQ(in.stats().batched_prog_runs.load(), 2u);
+}
+
+// scaled_map_prog's signature with the map body x * x (c unused).
+Prog squared_map_prog() {
+  ProgBuilder pb("squared_map");
+  pb.param("c", f64());
+  Var xs = pb.param("xs", arr_f64(1));
+  Builder& b = pb.body();
+  Var ys = b.map1(b.lam({f64()},
+                        [](Builder& k, const std::vector<Var>& p) {
+                          return std::vector<Atom>{Atom(k.mul(p[0], p[0]))};
+                        }),
+                  {xs});
+  return pb.finish({Atom(ys)});
+}
+
+// r = (x + a) * b with constants a, b at the top level.
+Prog affine_prog(double a, double b) {
+  ProgBuilder pb("affine");
+  Var x = pb.param("x", f64());
+  Builder& bb = pb.body();
+  Var r = bb.mul(Atom(bb.add(x, cf64(a))), cf64(b));
+  return pb.finish({Atom(r)});
+}
+
+// Edits in place to a program the memo holds must miss it: a replaced
+// top-level statement, a flipped constant sign and a swapped nested lambda
+// each change the result of the very next run.
+TEST(ProgCache, EditedProgramIsNotAStaleHit) {
+  Prog p = affine_prog(1.0, 3.0);
+  typecheck(p);
+  Interp in;
+  EXPECT_EQ(as_f64(in.run(p, {2.0})[0]), 9.0);
+  EXPECT_EQ(as_f64(in.run(p, {2.0})[0]), 9.0);
+
+  Stm& add = p.fn.body.stms[0];
+  add.e = OpBin{BinOp::Sub, std::get<OpBin>(add.e).a, cf64(1.0)};  // (x - 1) * 3
+  EXPECT_EQ(as_f64(in.run(p, {2.0})[0]), 3.0);
+
+  // (x - 1) * b with b = 0.0, then -0.0: the sign of a zero result follows.
+  std::get<OpBin>(p.fn.body.stms[1].e).b = cf64(0.0);
+  EXPECT_FALSE(std::signbit(as_f64(in.run(p, {2.0})[0])));
+  std::get<OpBin>(p.fn.body.stms[1].e).b = cf64(-0.0);
+  EXPECT_TRUE(std::signbit(as_f64(in.run(p, {2.0})[0])));
+
+  // The map's lambda replaced by the one of a program built the same way
+  // but squaring instead: the top-level statement differs only by pointer.
+  Prog m = scaled_map_prog();
+  typecheck(m);
+  ArrayVal xs = make_f64_array({3.0}, {1});
+  EXPECT_EQ(as_array(in.run(m, {2.0, xs})[0]).get_f64(0), 3.0 * 2.0 + std::sin(2.0) + 7.25);
+  std::get<OpMap>(m.fn.body.stms[0].e).f =
+      std::get<OpMap>(squared_map_prog().fn.body.stms[0].e).f;
+  EXPECT_EQ(as_array(in.run(m, {2.0, xs})[0]).get_f64(0), 9.0);
+}
+
+// A different program assigned to the same variable lives at the same
+// address; the memo must not hand back the old one's entry.
+TEST(ProgCache, ReassignedVariableRunsTheNewProgram) {
+  Interp in;
+  Prog p = affine_prog(1.0, 3.0);
+  EXPECT_EQ(as_f64(in.run(p, {2.0})[0]), 9.0);
+  p = affine_prog(-1.0, 5.0);
+  EXPECT_EQ(as_f64(in.run(p, {2.0})[0]), 5.0);
+  p = scaled_map_prog();
+  EXPECT_EQ(as_array(in.run(p, {1.0, make_f64_array({2.0}, {1})})[0]).get_f64(0),
+            2.0 + std::sin(1.0) + 7.25);
+  EXPECT_EQ(in.stats().prog_hashes.load(), 3u);
+}
+
+// A copy at another address misses the memo but still finds the shared
+// structural entry: no new ProgCache entry.
+TEST(ProgCache, IdenticalCopyAtAnotherAddressSharesEntry) {
+  const Prog p = scaled_map_prog();
+  typecheck(p);
+  ArrayVal xs = make_f64_array({0.5, 1.5}, {2});
+  Interp in;
+  const double want = as_array(in.run(p, {4.0, xs})[0]).get_f64(1);
+  const size_t progs_before = ProgCache::global().size();
+  const Prog copy = p;
+  EXPECT_EQ(as_array(in.run(copy, {4.0, xs})[0]).get_f64(1), want);
+  EXPECT_EQ(ProgCache::global().size(), progs_before);
+  EXPECT_EQ(in.stats().prog_hashes.load(), 2u);
+}
+
+// Four threads interleave runs of two programs, each thread through its own
+// memo; every result is bit-identical to a sequential run.
+TEST(ProgCache, ConcurrentRunsOfTwoProgramsMatchSequential) {
+  Prog a = scaled_map_prog();
+  Prog g = ad::vjp(gather_sq_prog());
+  typecheck(a);
+  typecheck(g);
+  support::Rng rng(11);
+  const std::vector<Value> a_args = {1.75, make_f64_array(rng.normal_vec(64), {64})};
+  const std::vector<Value> g_args = {make_f64_array(rng.normal_vec(16), {16}),
+                                     make_i64_array(rng.index_vec(256, 16), {256}), 1.0};
+  InterpOptions seq;
+  seq.parallel = false;
+  const Interp ref(seq);
+  const std::vector<Value> a_want = ref.run(a, a_args);
+  const std::vector<Value> g_want = ref.run(g, g_args);
+
+  auto same = [](const std::vector<Value>& x, const std::vector<Value>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (is_array(x[i]) != is_array(y[i])) return false;
+      if (!is_array(x[i])) {
+        const double u = as_f64(x[i]), v = as_f64(y[i]);
+        if (std::memcmp(&u, &v, sizeof u) != 0) return false;
+        continue;
+      }
+      const ArrayVal& u = as_array(x[i]);
+      const ArrayVal& v = as_array(y[i]);
+      if (u.shape != v.shape) return false;
+      for (int64_t k = 0; k < u.elems(); ++k) {
+        const double s = u.get_f64(k), t = v.get_f64(k);
+        if (std::memcmp(&s, &t, sizeof s) != 0) return false;
+      }
+    }
+    return true;
+  };
+
+  constexpr int kThreads = 4, kRounds = 25;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<uint64_t> hashes(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Interp in(seq);
+      for (int r = 0; r < kRounds; ++r) {
+        // Odd threads start with the other program, so lookups interleave.
+        const bool first_a = (r + t) % 2 == 0;
+        for (int k = 0; k < 2; ++k) {
+          const bool use_a = first_a == (k == 0);
+          const auto got = in.run(use_a ? a : g, use_a ? a_args : g_args);
+          if (!same(got, use_a ? a_want : g_want)) ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+      hashes[static_cast<size_t>(t)] = in.stats().prog_hashes.load();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(hashes[static_cast<size_t>(t)], 2u) << "thread " << t;
+  }
 }
 
 // ------------------------------------------------------ slot environments ---

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Launch-count regression guard over BENCH_*.json counter snapshots.
+"""Counter regression guard over BENCH_*.json counter snapshots.
 
 Every bench binary writes BENCH_<name>.json (bench/common.hpp) with the
 interpreter's cumulative stats counters. This script enforces checked-in
 ceilings on the launch counters that the execution-plan + inlined-SOAC work
-drove down, so a regression that quietly reintroduces per-row or per-gate
-kernel launches fails CI instead of only showing up in the perf trajectory.
+drove down, and on the program lookups that compute a structural signature,
+so a regression that quietly reintroduces per-row or per-gate kernel
+launches, or per-run program hashing, fails CI instead of only showing up in
+the perf trajectory.
 
 Counters are cumulative over the whole binary run and google-benchmark picks
 iteration counts from wall-clock (--benchmark_min_time), so absolute counter
@@ -48,11 +50,22 @@ import sys
 # spans per measured iteration (per-(shape, K) launches of the log-sum-exp
 # rows); inline SOAC kernelization brings it to ~430/iter. Ceiling 5000
 # keeps >3x of the win locked in.
+#
+# table1_adbench/prog_hashes: program lookups that computed a structural
+# signature (ProgCache::get, runtime/resolve.hpp). The interpreter-driven
+# rows ("/obj", "/jac") rerun the same ten Prog objects, so after each
+# program's first lookup the per-thread identity memo answers every repeat.
+# Without the memo every Interp::run hashed its program: measured 1.50/iter
+# (21151 over 14073 iterations, one per objective and 15-26 per Jacobian
+# iteration); with it 0.0004/iter (10 over 25503). Ceiling 0.1 fails CI if
+# per-run hashing comes back, with room for 25x slower machines (fewer
+# iterations over the same ten first lookups).
 CEILINGS = [
     ("BENCH_table6_lstm.json", "batched_launches", ["npad_"], 2000, 680),
     ("BENCH_table3_kmeans.json", "batched_launches", ["ad_"], 10000, 770),
     ("BENCH_table3_kmeans.json", "general_maps", ["ad_"], 50, 1),
     ("BENCH_table5_gmm.json", "batched_launches", ["npad_"], 5000, 430),
+    ("BENCH_table1_adbench.json", "prog_hashes", ["/obj", "/jac"], 0.1, 0.0004),
 ]
 
 # Counter-over-counter ceilings: (json file, numerator counters (summed),
@@ -118,12 +131,13 @@ def main() -> int:
         status = "OK" if per_iter <= ceiling else "FAIL"
         print(
             f"{status:4} {fname}: {counter}={value} over {iters} iter(s) -> "
-            f"{per_iter:.0f}/iter (ceiling {ceiling}, was {measured} when checked in)"
+            f"{per_iter:.4g}/iter (ceiling {ceiling}, was {measured} when checked in)"
         )
         if per_iter > ceiling:
             failures.append(
-                f"{fname}: {counter} at {per_iter:.0f}/iter exceeds ceiling {ceiling} "
-                f"— a launch-count regression (per-row/per-gate launches reintroduced?)"
+                f"{fname}: {counter} at {per_iter:.4g}/iter exceeds ceiling {ceiling} "
+                f"— a per-iteration counter regression (per-row launches or per-run "
+                f"program hashing reintroduced?)"
             )
     for fname, num_counters, den_counter, ceiling, measured in RATIO_CEILINGS:
         path = os.path.join(bench_dir, fname)
@@ -153,11 +167,11 @@ def main() -> int:
                 f"exceeds ceiling {ceiling} — the serving batcher stopped amortizing"
             )
     if failures:
-        print("\nlaunch-count regression guard failed:", file=sys.stderr)
+        print("\ncounter regression guard failed:", file=sys.stderr)
         for msg in failures:
             print(f"  - {msg}", file=sys.stderr)
         return 1
-    print("launch-count regression guard passed")
+    print("counter regression guard passed")
     return 0
 
 
